@@ -3,21 +3,19 @@
 //
 //   - Chain-reaction analysis: exploiting the fact that each token is
 //     consumed in exactly one ring signature to eliminate mixins. The exact
-//     analysis (ChainReaction) uses bipartite-matching feasibility: token t
-//     is eliminated from ring r iff no complete token-RS combination lets r
-//     consume t, and t is provably consumed iff banning t everywhere makes
-//     the ledger infeasible — the exact closure that the paper's
+//     analysis (ChainReaction) reads one Dulmage–Mendelsohn decomposition
+//     (rsgraph.DM): token t survives in ring r iff some complete token-RS
+//     combination lets r consume t, and t is provably consumed iff every
+//     combination consumes it — the exact closure that the paper's
 //     Theorem-4.1 cascade approximates. The cascade itself is also provided
 //     (Cascade) as the cheap heuristic real attackers run.
 //   - Homogeneity attack: even when the consumed token is ambiguous, if a
 //     ring's surviving candidates all come from one historical transaction,
 //     the ring's HT is revealed.
 //   - Side information: an adversary seeded with revealed token-RS pairs
-//     (Definition 3) runs the same analyses with rings pinned.
+//     (Definition 3) runs the same analyses with rings pinned (Pin).
 //
-// The package also provides the per-token neighbour-set bookkeeping the
-// TokenMagic framework uses for its η liveness guard, and anonymity metrics
-// for the experiment harness.
+// The package also provides anonymity metrics for the experiment harness.
 package adversary
 
 import (
@@ -49,9 +47,9 @@ type Analysis struct {
 	Exact bool
 }
 
-// pin applies side information: rings with a revealed pair collapse to a
+// Pin applies side information: rings with a revealed pair collapse to a
 // single plausible token. Pairs naming tokens outside the ring are ignored.
-func pin(rings []chain.RingRecord, si SideInfo) []rsgraph.Ring {
+func Pin(rings []chain.RingRecord, si SideInfo) []rsgraph.Ring {
 	out := make([]rsgraph.Ring, len(rings))
 	for i, r := range rings {
 		toks := r.Tokens
@@ -63,26 +61,18 @@ func pin(rings []chain.RingRecord, si SideInfo) []rsgraph.Ring {
 	return out
 }
 
-// ChainReaction runs the exact, matching-based chain-reaction analysis:
-// polynomial time, strictly stronger than the greedy cascade. If the pinned
-// instance is infeasible (inconsistent side information or a degenerate
-// ledger), the original token sets are reported untouched — an adversary
-// cannot derive sound facts from a contradictory view.
+// ChainReaction runs the exact chain-reaction analysis: one DM
+// decomposition of the pinned instance, polynomial time, strictly stronger
+// than the greedy cascade. If the pinned instance is infeasible
+// (inconsistent side information or a degenerate ledger), the pinned token
+// sets are reported untouched and nothing is proven consumed — an
+// adversary cannot derive sound facts from a contradictory view.
 func ChainReaction(rings []chain.RingRecord, si SideInfo, origin func(chain.TokenID) chain.TxID) Analysis {
-	in := rsgraph.NewInstance(pin(rings, si))
-	out := Analysis{Observations: make([]Observation, len(rings)), Exact: true}
-
-	if !in.HasAssignment() {
-		for i, r := range rings {
-			out.Observations[i] = observe(r.ID, in.Rings[i].Tokens, origin)
-		}
-		return out
-	}
-	feas := in.FeasibleSpent()
+	d := rsgraph.NewInstance(Pin(rings, si)).Decompose()
+	out := Analysis{Observations: make([]Observation, len(rings)), Consumed: d.ProvablyConsumed(), Exact: true}
 	for i, r := range rings {
-		out.Observations[i] = observe(r.ID, feas[i], origin)
+		out.Observations[i] = Observe(r.ID, d.Feasible()[i], origin)
 	}
-	out.Consumed = in.ProvablyConsumed()
 	return out
 }
 
@@ -92,7 +82,7 @@ func ChainReaction(rings []chain.RingRecord, si SideInfo, origin func(chain.Toke
 // tokens from every ring outside the collection. Weaker than ChainReaction
 // but linear-ish; used for the heuristic-vs-exact ablation.
 func Cascade(rings []chain.RingRecord, si SideInfo, origin func(chain.TokenID) chain.TxID) Analysis {
-	pinned := pin(rings, si)
+	pinned := Pin(rings, si)
 	remaining := make([]chain.TokenSet, len(pinned))
 	for i, r := range pinned {
 		remaining[i] = r.Tokens.Clone()
@@ -132,7 +122,7 @@ func Cascade(rings []chain.RingRecord, si SideInfo, origin func(chain.TokenID) c
 
 	out := Analysis{Observations: make([]Observation, len(rings)), Consumed: consumed}
 	for i, r := range rings {
-		out.Observations[i] = observe(r.ID, remaining[i], origin)
+		out.Observations[i] = Observe(r.ID, remaining[i], origin)
 	}
 	return out
 }
@@ -190,10 +180,6 @@ func countMembers(members []bool) int {
 		}
 	}
 	return n
-}
-
-func observe(id chain.RSID, remaining chain.TokenSet, origin func(chain.TokenID) chain.TxID) Observation {
-	return Observe(id, remaining, origin)
 }
 
 // Observe derives one ring's Observation from its surviving plausible-token
@@ -268,53 +254,3 @@ func Summarise(a Analysis) Metrics {
 	}
 	return m
 }
-
-// NeighborSets maintains the per-batch ring history and exposes the number
-// of provably-consumed tokens μ used by the η liveness guard (Section 4).
-// Feed it rings in proposal order.
-type NeighborSets struct {
-	rings    []chain.RingRecord
-	consumed chain.TokenSet
-}
-
-// NewNeighborSets returns empty bookkeeping.
-func NewNeighborSets() *NeighborSets { return &NeighborSets{} }
-
-// Append records one more ring and refreshes the consumed-token closure.
-func (ns *NeighborSets) Append(r chain.RingRecord) {
-	ns.rings = append(ns.rings, r)
-	ns.consumed = provablyConsumed(ns.rings)
-}
-
-// Clone returns a copy that can be Appended to without disturbing the
-// receiver: the ring slice is re-capped so the clone's first append
-// reallocates instead of scribbling into the shared backing array, and the
-// consumed set is replaced wholesale by Append, never mutated. tokenmagic
-// uses this to publish copy-on-write guard state per epoch.
-func (ns *NeighborSets) Clone() *NeighborSets {
-	return &NeighborSets{
-		rings:    ns.rings[:len(ns.rings):len(ns.rings)],
-		consumed: ns.consumed,
-	}
-}
-
-// WouldConsume reports how many tokens would be provably consumed if r were
-// appended, without mutating state. The η guard calls this before admitting
-// a candidate ring.
-func (ns *NeighborSets) WouldConsume(r chain.RingRecord) int {
-	tmp := append(append([]chain.RingRecord{}, ns.rings...), r)
-	return len(provablyConsumed(tmp))
-}
-
-func provablyConsumed(rings []chain.RingRecord) chain.TokenSet {
-	return rsgraph.FromRecords(rings).ProvablyConsumed()
-}
-
-// ConsumedCount returns μ, the number of tokens provably consumed so far.
-func (ns *NeighborSets) ConsumedCount() int { return len(ns.consumed) }
-
-// RingCount returns i, the number of rings recorded.
-func (ns *NeighborSets) RingCount() int { return len(ns.rings) }
-
-// Consumed returns the provably-consumed token set (shared; do not mutate).
-func (ns *NeighborSets) Consumed() chain.TokenSet { return ns.consumed }

@@ -173,31 +173,6 @@ func TestSummarise(t *testing.T) {
 	}
 }
 
-func TestNeighborSets(t *testing.T) {
-	ns := NewNeighborSets()
-	if ns.RingCount() != 0 || ns.ConsumedCount() != 0 {
-		t.Fatal("fresh NeighborSets should be empty")
-	}
-	ns.Append(rec(0, 1, 2))
-	if ns.ConsumedCount() != 0 {
-		t.Fatalf("one 2-ring proves nothing, μ = %d", ns.ConsumedCount())
-	}
-	// Appending the twin closes the set {1,2}: μ = 2.
-	if got := ns.WouldConsume(rec(1, 1, 2)); got != 2 {
-		t.Fatalf("WouldConsume = %d, want 2", got)
-	}
-	if ns.ConsumedCount() != 0 {
-		t.Fatal("WouldConsume must not mutate")
-	}
-	ns.Append(rec(1, 1, 2))
-	if ns.ConsumedCount() != 2 || ns.RingCount() != 2 {
-		t.Fatalf("μ = %d rings = %d", ns.ConsumedCount(), ns.RingCount())
-	}
-	if !ns.Consumed().Equal(chain.NewTokenSet(1, 2)) {
-		t.Fatalf("Consumed = %v", ns.Consumed())
-	}
-}
-
 // Theorem 4.1 statement: n rings over exactly n distinct tokens → all
 // consumed.
 func TestTheorem41(t *testing.T) {

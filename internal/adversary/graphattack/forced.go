@@ -43,7 +43,7 @@ func (o ForcedOptions) maxPins() int {
 // partition attack: a pin only cascades inside its component, so each
 // hypothesis re-decomposes one component, not the ledger.
 func ForcedClosure(rings []chain.RingRecord, si adversary.SideInfo, origin func(chain.TokenID) chain.TxID, opts ForcedOptions) Report {
-	pr := pinned(rings, si)
+	pr := adversary.Pin(rings, si)
 	base := rsgraph.NewInstance(pr).Decompose()
 	rep := Report{
 		Attack:       "forced_closure",

@@ -8,9 +8,11 @@ import (
 )
 
 // FuzzDMEquivalence is the fuzz form of the differential property: on any
-// ring set the DM decomposition must agree with the exact ChainReaction
-// closure ring-for-ring, and on feasible instances the greedy cascade must
-// never eliminate more than DM. The byte stream encodes small instances
+// ring set the DM decomposition must agree ring-for-ring with the exact
+// closure of rsgraph's per-edge matching probes on the same pinned
+// instance (untouched sets and nothing proven when no combination exists),
+// and on feasible instances the greedy cascade must never eliminate more
+// than DM. The byte stream encodes small instances
 // (≤10 rings, ≤14 tokens, ring size ≤4) plus an optional revealed pair.
 func FuzzDMEquivalence(f *testing.F) {
 	f.Add([]byte{2, 0x03, 0x03, 0xff})          // two rings over {0,1}: a square cycle
@@ -23,18 +25,9 @@ func FuzzDMEquivalence(f *testing.F) {
 		}
 
 		dm := DM(rings, si, origin)
-		exact := adversary.ChainReaction(rings, si, origin)
 		cascade := adversary.Cascade(rings, si, origin)
 
-		for i := range rings {
-			if !dm.Observations[i].Remaining.Equal(exact.Observations[i].Remaining) {
-				t.Fatalf("ring %d: DM %v != ChainReaction %v",
-					i, dm.Observations[i].Remaining, exact.Observations[i].Remaining)
-			}
-		}
-		if !dm.Consumed.Equal(exact.Consumed) {
-			t.Fatalf("DM consumed %v != exact %v", dm.Consumed, exact.Consumed)
-		}
+		checkDMAgainstProbes(t, rings, si, dm)
 		if dm.Degenerate {
 			return // cascade ⊆ DM only holds on feasible instances
 		}

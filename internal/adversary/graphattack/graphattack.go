@@ -8,8 +8,10 @@
 //     over-/under-/perfectly-constrained regions, deriving each ring's
 //     effective anonymity-set size — the number of admissible consumed
 //     tokens, CoinMagic's measure — and the provably-traced tokens. By the
-//     admissible-edge theorem this equals the exact ChainReaction closure
-//     at a fraction of the cost (differential- and fuzz-tested).
+//     admissible-edge theorem this is the exact chain-reaction closure that
+//     rsgraph's per-edge matching probes compute, at a fraction of the cost
+//     (differential- and fuzz-tested against those probes).
+//     adversary.ChainReaction reads the same decomposition.
 //   - ForcedClosure: a partition/closure attack that iterates DM with
 //     forced assignments. The ledger is split into its connected
 //     components; within each, every feasible (ring, token) pin is forced
@@ -28,7 +30,7 @@
 // from a seed (enforced by the tmlint determinism analyzer via
 // .tmlint.json). Attacks accept side information (revealed token-RS pairs)
 // and never invent facts from contradictory views: infeasible instances
-// report untouched token sets, exactly like adversary.ChainReaction.
+// report untouched token sets (the rsgraph.DM contract).
 package graphattack
 
 import (
@@ -89,21 +91,6 @@ type Pin struct {
 	NewlyTraced int
 }
 
-// pinned applies side information: rings with a revealed pair collapse to a
-// single plausible token (pairs naming tokens outside the ring are
-// ignored), mirroring the adversary package's Definition-3 handling.
-func pinned(rings []chain.RingRecord, si adversary.SideInfo) []rsgraph.Ring {
-	out := make([]rsgraph.Ring, len(rings))
-	for i, r := range rings {
-		toks := r.Tokens
-		if tok, ok := si[r.ID]; ok && r.Tokens.Contains(tok) {
-			toks = chain.NewTokenSet(tok)
-		}
-		out[i] = rsgraph.Ring{ID: r.ID, Tokens: toks}
-	}
-	return out
-}
-
 // observations derives per-ring observations from survivor sets.
 func observations(rings []chain.RingRecord, sets []chain.TokenSet, origin func(chain.TokenID) chain.TxID) []adversary.Observation {
 	out := make([]adversary.Observation, len(rings))
@@ -116,7 +103,7 @@ func observations(rings []chain.RingRecord, sets []chain.TokenSet, origin func(c
 // DM runs the Dulmage–Mendelsohn decomposition attack: the exact
 // chain-reaction closure derived structurally from one maximum matching.
 func DM(rings []chain.RingRecord, si adversary.SideInfo, origin func(chain.TokenID) chain.TxID) Report {
-	in := rsgraph.NewInstance(pinned(rings, si))
+	in := rsgraph.NewInstance(adversary.Pin(rings, si))
 	d := in.Decompose()
 	rep := Report{
 		Attack:       "dm",

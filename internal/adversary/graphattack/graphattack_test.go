@@ -7,6 +7,7 @@ import (
 
 	"tokenmagic/internal/adversary"
 	"tokenmagic/internal/chain"
+	"tokenmagic/internal/rsgraph"
 )
 
 // origin assigns two tokens per historical transaction — enough structure
@@ -27,10 +28,51 @@ func randomRecords(rng *rand.Rand, nRings, nTokens, maxSize int) []chain.RingRec
 	return out
 }
 
-// TestDMDifferential is the satellite property test: for random ledgers the
+// probeReference computes the exact chain-reaction closure with rsgraph's
+// per-edge matching probes on the same pinned instance DM decomposes: each
+// ring's surviving token set, the provably-consumed set, and whether the
+// instance has no token-RS combination at all. On such a degenerate
+// instance the contract is the untouched pinned sets with nothing proven.
+func probeReference(rings []chain.RingRecord, si adversary.SideInfo) (sets []chain.TokenSet, consumed chain.TokenSet, degenerate bool) {
+	in := rsgraph.NewInstance(adversary.Pin(rings, si))
+	if !in.HasAssignment() {
+		sets = make([]chain.TokenSet, len(in.Rings))
+		for i, r := range in.Rings {
+			sets[i] = r.Tokens
+		}
+		return sets, nil, true
+	}
+	return in.FeasibleSpent(), in.ProvablyConsumed(), false
+}
+
+// checkDMAgainstProbes fails unless the DM report equals the probe
+// reference ring for ring, on the consumed closure, on the summary metrics
+// and on degeneracy.
+func checkDMAgainstProbes(t *testing.T, rings []chain.RingRecord, si adversary.SideInfo, dm Report) {
+	t.Helper()
+	sets, consumed, degenerate := probeReference(rings, si)
+	if dm.Degenerate != degenerate {
+		t.Fatalf("DM degenerate=%v, probes say %v", dm.Degenerate, degenerate)
+	}
+	for i := range rings {
+		if !dm.Observations[i].Remaining.Equal(sets[i]) {
+			t.Fatalf("ring %d: DM %v != probes %v", i, dm.Observations[i].Remaining, sets[i])
+		}
+	}
+	if !dm.Consumed.Equal(consumed) {
+		t.Fatalf("DM consumed %v != probes %v", dm.Consumed, consumed)
+	}
+	want := adversary.Summarise(adversary.Analysis{Observations: observations(rings, sets, origin), Consumed: consumed})
+	if !reflect.DeepEqual(dm.Metrics, want) {
+		t.Fatalf("DM metrics %+v != probes %+v", dm.Metrics, want)
+	}
+}
+
+// TestDMDifferential is the differential property test: for random ledgers the
 // DM-derived traced set must be a superset of the Cascade traced set and
-// identical to the exact ChainReaction closure — observation for
-// observation, token for token.
+// identical to the exact closure of rsgraph's per-edge matching probes —
+// observation for observation, token for token. adversary.ChainReaction
+// reads the same decomposition, so it must agree with DM exactly.
 func TestDMDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 300; trial++ {
@@ -42,22 +84,14 @@ func TestDMDifferential(t *testing.T) {
 		}
 
 		dm := DM(rings, si, origin)
-		exact := adversary.ChainReaction(rings, si, origin)
 		cascade := adversary.Cascade(rings, si, origin)
 
-		// DM ≡ exact ChainReaction, per ring and on the consumed closure.
-		for i := range rings {
-			if !dm.Observations[i].Remaining.Equal(exact.Observations[i].Remaining) {
-				t.Fatalf("trial %d ring %d: DM %v != ChainReaction %v",
-					trial, i, dm.Observations[i].Remaining, exact.Observations[i].Remaining)
-			}
-		}
-		if !reflect.DeepEqual(dm.Metrics, adversary.Summarise(exact)) {
-			t.Fatalf("trial %d: DM metrics %+v != exact %+v",
-				trial, dm.Metrics, adversary.Summarise(exact))
-		}
-		if !dm.Consumed.Equal(exact.Consumed) {
-			t.Fatalf("trial %d: DM consumed %v != exact %v", trial, dm.Consumed, exact.Consumed)
+		// DM ≡ the probe closure, per ring, on the consumed closure and on
+		// the metrics.
+		checkDMAgainstProbes(t, rings, si, dm)
+		if got := adversary.ChainReaction(rings, si, origin); !reflect.DeepEqual(got.Observations, dm.Observations) ||
+			!got.Consumed.Equal(dm.Consumed) {
+			t.Fatalf("trial %d: ChainReaction %+v != DM %+v", trial, got, dm)
 		}
 
 		// Cascade never eliminates more than DM: per-ring cascade sets are

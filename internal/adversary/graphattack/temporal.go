@@ -44,7 +44,7 @@ func (o TemporalOptions) birth(t chain.TokenID) int {
 // layered on the admissible sets. Layered on the SideInfo machinery: pins
 // apply before every stage.
 func Temporal(rings []chain.RingRecord, si adversary.SideInfo, origin func(chain.TokenID) chain.TxID, opts TemporalOptions) Report {
-	pr := pinned(rings, si)
+	pr := adversary.Pin(rings, si)
 	rep := Report{Attack: "temporal"}
 
 	// Stage 1 — sound pruning: drop candidates born after the spend. A ring

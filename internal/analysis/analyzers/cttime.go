@@ -10,9 +10,8 @@ import (
 // nonces) must never influence timing: no flow into branch/loop/switch
 // conditions, slice/array/map indexing, variable-width big.Int encoders
 // (Bytes, BitLen, Text, …), or functions annotated //tmlint:vartime (the
-// Jacobian fallback, Lim–Lee comb and wNAF verification kernels, which are
-// fast precisely because their memory access pattern follows operand
-// digits). Flows are tracked flow-sensitively across module-local calls via
+// verify-only multiplication kernels, which are entitled to operate on
+// public inputs only). Flows are tracked flow-sensitively across module-local calls via
 // per-function summaries, so passing a secret to a helper that branches on
 // it is reported at the call site.
 var Cttime = &analysis.Analyzer{

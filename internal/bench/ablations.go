@@ -123,7 +123,7 @@ func AblationEta(eta float64, seed int64) (EtaAblation, error) {
 	a := adversary.ChainReaction(l.Rings(), nil, l.OriginFunc())
 	m := adversary.Summarise(a)
 	out.TracedRings = m.Traced
-	out.ProvablyConsumed = len(rsgraph.FromRecords(l.Rings()).ProvablyConsumed())
+	out.ProvablyConsumed = len(a.Consumed)
 	return out, nil
 }
 

@@ -4,8 +4,7 @@ package ringsig
 // implementation. The contract is exact equality — byte-identical
 // signatures from the same rng stream, identical accept/reject decisions
 // (including error identity) on valid and tampered inputs, bit-identical
-// point results from every multiplication kernel, on both the fused
-// dispatch path and the Strauss/comb fallback engine.
+// point results from every multiplication kernel.
 
 import (
 	"context"
@@ -97,39 +96,6 @@ func TestKernelPairsMatchStock(t *testing.T) {
 			if got, want := mulPair(s, p, c, q), stockPair(s, p, c, q); !got.Equal(want) {
 				t.Fatalf("mulPair(%v, %v) = %v, want %v", s, c, got, want)
 			}
-		}
-	}
-}
-
-// TestFallbackEngineMatchesStock drives the Strauss/comb engine directly,
-// so the no-assembly dispatch path is proven even on platforms where the
-// kernels would pick the fused CombinedMult.
-func TestFallbackEngineMatchesStock(t *testing.T) {
-	_, ring := genRing(t, 3)
-	p, q := ring[0], ring[1]
-	for _, s := range kernelScalars(t) {
-		for _, c := range kernelScalars(t) {
-			if got, want := strausBaseVar(s, c, p), stockPairBase(s, c, p); !got.Equal(want) {
-				t.Fatalf("strausBaseVar(%v, %v) = %v, want %v", s, c, got, want)
-			}
-			if got, want := strausVarVar(s, p, c, q), stockPair(s, p, c, q); !got.Equal(want) {
-				t.Fatalf("strausVarVar(%v, %v) = %v, want %v", s, c, got, want)
-			}
-		}
-	}
-}
-
-func TestCombTableAgainstScalarBaseMult(t *testing.T) {
-	// The comb alone (no variable-point digits) must reproduce s·G.
-	zero := big.NewInt(0)
-	g := Point{Curve.Params().Gx, Curve.Params().Gy}
-	for _, s := range kernelScalars(t) {
-		want := func() Point {
-			x, y := Curve.ScalarBaseMult(s.Bytes())
-			return Point{x, y}
-		}()
-		if got := strausBaseVar(s, zero, g); !got.Equal(want) {
-			t.Fatalf("comb: %v·G = %v, want %v", s, got, want)
 		}
 	}
 }

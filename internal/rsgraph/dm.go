@@ -29,10 +29,12 @@ import (
 //     same block, and a block containing exactly one ring pins that ring to
 //     its matched token — the ring is traced.
 //
-// The equivalences with the probe-based exact routines (FeasibleSpent,
-// ProvablyConsumed) are asserted by differential and fuzz tests; the
-// adversary package's Theorem-4.1 cascade is a strict under-approximation
-// of both.
+// This is the package's one production feasibility engine: NonEliminated,
+// the tokenmagic η guard and the adversary package's ChainReaction all read
+// one Decompose. The probe-based routines (FeasibleSpent, ProvablyConsumed)
+// remain as the independent reference; differential and fuzz tests assert
+// the equivalence. The adversary package's Theorem-4.1 cascade is a strict
+// under-approximation of both.
 type DM struct {
 	in *Instance
 
@@ -40,7 +42,7 @@ type DM struct {
 	// matched). When false the decomposition still classifies regions, but
 	// no sound elimination facts follow and Feasible returns the untouched
 	// token sets — an adversary cannot derive facts from a contradictory
-	// view (same contract as adversary.ChainReaction).
+	// view (the contract adversary.ChainReaction reports through).
 	Saturated bool
 
 	// MatchedToken holds one maximum matching: the token ring i consumes in

@@ -23,10 +23,25 @@ func randomInstance(rng *rand.Rand, nRings, nTokens, maxSize int) *Instance {
 	return NewInstance(rings)
 }
 
+// probeNonEliminated is the per-edge probe form of NonEliminated: every
+// (ring, token) pair must survive forcing. It is the reference the DM-based
+// NonEliminated is compared against.
+func probeNonEliminated(in *Instance) bool {
+	for i, r := range in.Rings {
+		for _, t := range r.Tokens {
+			if !in.feasibleWithForced(i, t) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestDMEquivalentToExactProbes is the load-bearing differential test: over
 // random instances, the DM-derived admissible sets must equal the exact
-// per-edge matching probes, and the DM square-region tokens must equal the
-// exact provably-consumed closure.
+// per-edge matching probes, the DM square-region tokens must equal the
+// exact provably-consumed closure, and the DM-based NonEliminated must
+// agree with the per-edge probe verdict.
 func TestDMEquivalentToExactProbes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 400; trial++ {
@@ -38,6 +53,10 @@ func TestDMEquivalentToExactProbes(t *testing.T) {
 		if d.Saturated != in.HasAssignment() {
 			t.Fatalf("trial %d: Saturated=%v, HasAssignment=%v\n%+v",
 				trial, d.Saturated, in.HasAssignment(), in.Rings)
+		}
+		if got, want := in.NonEliminated(), probeNonEliminated(in); got != want {
+			t.Fatalf("trial %d: NonEliminated=%v, probes say %v\nrings: %+v",
+				trial, got, want, in.Rings)
 		}
 		if !d.Saturated {
 			// Contract: untouched sets, nothing proven.

@@ -175,19 +175,10 @@ func (in *Instance) AllCombinations(opts EnumOptions) ([]Assignment, error) {
 
 // HasAssignment reports whether at least one token-RS combination exists,
 // i.e. the rings admit a system of distinct representatives. Unlike full
-// enumeration this is polynomial: it is a bipartite matching feasibility
-// check via augmenting paths (Hall's condition made constructive).
+// enumeration this is polynomial: Kuhn's augmenting-path bipartite matching
+// (Hall's condition made constructive).
 func (in *Instance) HasAssignment() bool {
-	m, ok := in.maximumMatching()
-	_ = m
-	return ok
-}
-
-// maximumMatching runs Kuhn's augmenting path algorithm; returns the
-// matching (ring index → token) and whether it saturates all rings.
-func (in *Instance) maximumMatching() (map[int]chain.TokenID, bool) {
 	matchTok := make(map[chain.TokenID]int) // token -> ring index
-	matched := 0
 	var try func(ri int, seen map[chain.TokenID]bool) bool
 	try = func(ri int, seen map[chain.TokenID]bool) bool {
 		for _, t := range in.Rings[ri].Tokens {
@@ -203,15 +194,11 @@ func (in *Instance) maximumMatching() (map[int]chain.TokenID, bool) {
 		return false
 	}
 	for ri := range in.Rings {
-		if try(ri, make(map[chain.TokenID]bool)) {
-			matched++
+		if !try(ri, make(map[chain.TokenID]bool)) {
+			return false
 		}
 	}
-	out := make(map[int]chain.TokenID, matched)
-	for t, ri := range matchTok {
-		out[ri] = t
-	}
-	return out, matched == len(in.Rings)
+	return true
 }
 
 // FeasibleSpent returns, for every ring, the set of tokens that can be its
@@ -220,7 +207,10 @@ func (in *Instance) maximumMatching() (map[int]chain.TokenID, bool) {
 // token set for every i.
 //
 // Implementation: for each (ring, token) pair, force the pair and test
-// matching feasibility of the rest — polynomial, unlike full enumeration.
+// matching feasibility of the rest — polynomial, unlike full enumeration,
+// but one probe per edge. Production code answers the same question with
+// one Decompose (DM.Feasible); this probe form is kept as the independent
+// reference the differential tests compare DM against.
 func (in *Instance) FeasibleSpent() []chain.TokenSet {
 	out := make([]chain.TokenSet, len(in.Rings))
 	for i, r := range in.Rings {
@@ -297,7 +287,8 @@ func (in *Instance) feasibleWithBanned(banned chain.TokenID) bool {
 // combination of the instance — the exact closure that Theorem 4.1
 // approximates. A token t is provably consumed iff no combination avoids it,
 // i.e. matching with t banned is infeasible. Returns nil when the instance
-// itself has no combination (degenerate ledgers prove nothing).
+// itself has no combination (degenerate ledgers prove nothing). Like
+// FeasibleSpent this is the probe-based reference for DM.ProvablyConsumed.
 func (in *Instance) ProvablyConsumed() chain.TokenSet {
 	if !in.HasAssignment() {
 		return nil
@@ -313,13 +304,14 @@ func (in *Instance) ProvablyConsumed() chain.TokenSet {
 
 // NonEliminated reports whether the instance satisfies the paper's
 // non-eliminated constraint: no token of any ring can be ruled out as that
-// ring's consumed token by chain-reaction analysis.
+// ring's consumed token by chain-reaction analysis. One DM decomposition
+// answers it: every token of a non-empty ring must stay admissible, and an
+// instance with no combination at all admits none of them.
 func (in *Instance) NonEliminated() bool {
+	d := in.Decompose()
 	for i, r := range in.Rings {
-		for _, t := range r.Tokens {
-			if !in.feasibleWithForced(i, t) {
-				return false
-			}
+		if len(r.Tokens) > 0 && (!d.Saturated || len(d.Feasible()[i]) != len(r.Tokens)) {
+			return false
 		}
 	}
 	return true

@@ -69,9 +69,9 @@ func TestReadersCatchUpWithExternalAppends(t *testing.T) {
 }
 
 // TestGuardsCountForeignRings pins the liveness accounting side of the same
-// contract: η bookkeeping is rebuilt from the chain, so rings appended
-// outside the framework weigh into the μ ≤ i − η(|T|−i) bound exactly as a
-// Step-3 miner would count them. (The pre-epoch framework tracked only its
+// contract: the η guard reads the batch's rings from the chain view at
+// verify time, so rings appended outside the framework weigh into the
+// μ ≤ i − η(|T|−i) bound exactly as a Step-3 miner would count them. (The pre-epoch framework tracked only its
 // own commits, so a permissive chain's zero-mixin singletons were invisible
 // to the guard and it admitted rings past the paper's bound.)
 func TestGuardsCountForeignRings(t *testing.T) {

@@ -28,12 +28,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tokenmagic/internal/adversary"
 	"tokenmagic/internal/chain"
 	"tokenmagic/internal/diversity"
 	"tokenmagic/internal/dtrs"
 	"tokenmagic/internal/obs"
 	"tokenmagic/internal/obs/trace"
+	"tokenmagic/internal/rsgraph"
 	"tokenmagic/internal/selector"
 )
 
@@ -106,14 +106,14 @@ func DefaultConfig() Config {
 	return Config{Lambda: 800, Eta: 0.1, Headroom: true, Algorithm: Progressive}
 }
 
-// Framework wires a ledger, its batch list and the per-batch liveness
-// bookkeeping together.
+// Framework wires a ledger, its batch list and the per-batch decomposition
+// cache together.
 //
 // Concurrency: a Framework is safe for concurrent use, and readers never
 // contend with writers. Every mutation (Commit, RefreshBatches,
 // UpdateLedger) serialises on writeMu and publishes a fresh immutable
-// fwEpoch — ledger view, batch partition, copy-on-write guard state — via
-// one atomic store. Read paths (GenerateRS, VerifyRS, Batches) pin the
+// fwEpoch — ledger view, batch partition, decomposition cache — via one
+// atomic store. Read paths (GenerateRS, VerifyRS, Batches) pin the
 // current epoch with one atomic load and run entirely against that
 // snapshot: the candidate-sampling worker pool, the Step-3 checks and the
 // decomposition cache all see a single consistent generation even while
@@ -139,30 +139,16 @@ type Framework struct {
 // fwEpoch is one immutable generation of the framework's derived state.
 // seq increases by one per publish; readers pin a whole generation with a
 // single atomic load, so a pinned epoch keeps working — against its own
-// ledger view, batches and guards — no matter how many writes land after.
+// ledger view and batches — no matter how many writes land after.
 type fwEpoch struct {
 	seq     uint64
 	view    *chain.View
 	batches *chain.BatchList
 	origin  func(chain.TokenID) chain.TxID
-	// guards is copy-on-write: Commit clones the map and the one mutated
-	// entry, so a published epoch's guard state never changes.
-	guards map[int]*adversary.NeighborSets
 	// decomp is shared across Commit-successive epochs (entries
 	// self-invalidate on ring count) and replaced wholesale when batch
 	// boundaries move (RefreshBatches, UpdateLedger).
 	decomp *decompTable
-}
-
-// guard returns the batch's liveness guard. The map is pre-populated for
-// every batch index when the epoch is built; the fallback only covers an
-// index the batch list does not know (defensive — BatchOf would have failed
-// first) and does not write the map, so epochs stay immutable.
-func (e *fwEpoch) guard(batch int) *adversary.NeighborSets {
-	if g := e.guards[batch]; g != nil {
-		return g
-	}
-	return adversary.NewNeighborSets()
 }
 
 // decompTable holds the per-batch decomposition cache of one batch-boundary
@@ -371,29 +357,19 @@ func New(ledger *chain.Ledger, cfg Config, rng *rand.Rand) (*Framework, error) {
 	return f, nil
 }
 
-// rebuildEpoch derives batches, origin and guard state from the ledger's
-// current view and publishes them as a fresh epoch. Callers hold writeMu
-// (or own the framework exclusively, as New does).
+// rebuildEpoch derives batches and origin from the ledger's current view
+// and publishes them as a fresh epoch. Callers hold writeMu (or own the
+// framework exclusively, as New does).
 func (f *Framework) rebuildEpoch() error {
 	v := f.ledger.View()
 	batches, err := chain.BuildBatchesView(v, f.cfg.Lambda)
 	if err != nil {
 		return err
 	}
-	guards := make(map[int]*adversary.NeighborSets, batches.Len())
-	for i := 0; i < batches.Len(); i++ {
-		guards[i] = adversary.NewNeighborSets()
-	}
-	for _, r := range v.Rings() {
-		if b, berr := batches.BatchOf(r.Tokens[0]); berr == nil {
-			guards[b.Index].Append(r)
-		}
-	}
 	f.publishEpoch(&fwEpoch{
 		view:    v,
 		batches: batches,
 		origin:  v.OriginFunc(),
-		guards:  guards,
 		// Batch boundaries may have moved; the ring-count keyed
 		// decomposition cache cannot tell, so start a fresh table.
 		decomp: newDecompTable(),
@@ -440,9 +416,9 @@ func (f *Framework) currentEpoch() (*fwEpoch, error) {
 	return f.epoch.Load(), nil
 }
 
-// RefreshBatches rebuilds the batch partition and guard state from the
-// current ledger, picking up tokens appended since the framework was built
-// (mirrors batchsvc.Server.RefreshBatches). On error the framework is left
+// RefreshBatches rebuilds the batch partition from the current ledger,
+// picking up tokens appended since the framework was built (mirrors
+// batchsvc.Server.RefreshBatches). On error the framework is left
 // unchanged. In-flight readers keep their pinned epoch and are unaffected.
 func (f *Framework) RefreshBatches() error {
 	f.writeMu.Lock()
@@ -686,10 +662,10 @@ func (f *Framework) generateRSSeeded(ctx context.Context, e *fwEpoch, target cha
 	return candidates[streamRand(seed, pickStream).Intn(len(candidates))], nil
 }
 
-// Commit validates a generated ring and appends it to the ledger, updating
-// the batch's liveness state. It returns the new RSID. Verification and
-// append happen under one exclusive hold, so two racing Commits cannot both
-// verify against the old ledger and then both land (check-then-act).
+// Commit validates a generated ring and appends it to the ledger. It
+// returns the new RSID. Verification and append happen under one exclusive
+// hold, so two racing Commits cannot both verify against the old ledger and
+// then both land (check-then-act).
 func (f *Framework) Commit(tokens chain.TokenSet, req diversity.Requirement) (chain.RSID, error) {
 	return f.CommitCtx(context.Background(), tokens, req)
 }
@@ -697,8 +673,8 @@ func (f *Framework) Commit(tokens chain.TokenSet, req diversity.Requirement) (ch
 // CommitCtx is Commit with the request's trace threaded through: the whole
 // exclusive section lands in a "commit" span, with the embedded Step-3 check
 // as a child "verify" span. ctx carries only the trace — commit itself never
-// aborts on cancellation (a half-applied append would corrupt the guard
-// state).
+// aborts on cancellation (once a ring verifies, its append and the epoch
+// publish must both happen).
 func (f *Framework) CommitCtx(ctx context.Context, tokens chain.TokenSet, req diversity.Requirement) (chain.RSID, error) {
 	ctx, sp := trace.StartSpan(ctx, "commit")
 	defer sp.End()
@@ -723,30 +699,11 @@ func (f *Framework) CommitCtx(ctx context.Context, tokens chain.TokenSet, req di
 	if err != nil {
 		return -1, err
 	}
-	nv := f.ledger.View()
-	rec, _ := nv.RS(id)
-	// Copy-on-write: clone the guard map and the one entry this ring lands
-	// in, leaving the previous epoch's guard state untouched for its
-	// pinned readers.
-	guards := e.guards
-	if b, berr := e.batches.BatchOf(tokens[0]); berr == nil {
-		guards = make(map[int]*adversary.NeighborSets, len(e.guards))
-		for k, v := range e.guards {
-			guards[k] = v
-		}
-		g := adversary.NewNeighborSets()
-		if old := e.guards[b.Index]; old != nil {
-			g = old.Clone()
-		}
-		g.Append(rec)
-		guards[b.Index] = g
-	}
 	f.publishEpoch(&fwEpoch{
-		view:    nv,
+		view:    f.ledger.View(),
 		batches: e.batches, // a commit appends a ring; boundaries are unchanged
 		origin:  e.origin,  // and so is the token population
-		guards:  guards,
-		decomp:  e.decomp, // entries self-invalidate on ring count
+		decomp:  e.decomp,  // entries self-invalidate on ring count
 	})
 	f.metrics.epochAdvance.ObserveSince(start)
 	return id, nil
@@ -842,15 +799,26 @@ func (f *Framework) verifyRS(e *fwEpoch, tokens chain.TokenSet, req diversity.Re
 	}
 
 	if f.cfg.Eta > 0 {
-		g := e.guard(b.Index)
 		effSize := len(b.Tokens)
 		if effSize < f.cfg.Lambda {
 			// Trailing under-full batch: the paper scores |T| as λ+λ'−1
 			// because more tokens will land in the batch before it closes.
 			effSize = f.cfg.Lambda + effSize - 1
 		}
-		i := g.RingCount() + 1
-		mu := g.WouldConsume(chain.RingRecord{ID: chain.RSID(e.view.NumRS()), Tokens: tokens})
+		// The batch's ring history is every ring whose first token lies in
+		// the batch — rings appended straight to the ledger included, as a
+		// Step-3 miner would see them — plus the candidate. μ is the
+		// provably-consumed closure of that instance, from one DM
+		// decomposition.
+		guarded := make([]rsgraph.Ring, 0, len(rings)+1)
+		for _, r := range rings {
+			if b.Tokens.Contains(r.Tokens[0]) {
+				guarded = append(guarded, rsgraph.Ring{ID: r.ID, Tokens: r.Tokens})
+			}
+		}
+		guarded = append(guarded, rsgraph.Ring{ID: chain.RSID(e.view.NumRS()), Tokens: tokens})
+		i := len(guarded)
+		mu := len(rsgraph.NewInstance(guarded).Decompose().ProvablyConsumed())
 		// Section 4: the number of inferable consumed tokens must not
 		// exceed i − η·(|T| − i). The bound is clamped at zero so early
 		// rings that prove nothing (μ = 0) are always admissible.

@@ -257,10 +257,10 @@ func TestFrameworkReplaysExistingRings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The twin rings were replayed into the guard: μ=2 already, i=2.
+	// The twin rings already on the chain count toward the guard: μ=2, i=2.
 	// Next ring {2,3}: i=3, μ=2 → 1 ≥ 0.5·(6−3) = 1.5? No → reject.
 	err = f.VerifyRS(chain.NewTokenSet(2, 3), diversity.Requirement{C: 2, L: 2})
 	if !errors.Is(err, ErrLiveness) {
-		t.Fatalf("err = %v, want ErrLiveness (replayed guard state)", err)
+		t.Fatalf("err = %v, want ErrLiveness (pre-existing rings)", err)
 	}
 }
