@@ -13,8 +13,8 @@ import (
 	"tokenmagic/internal/analysis/dataflow"
 )
 
-// Lockcheck enforces the lock discipline of the PR 1/PR 2 hot paths
-// (Framework.decompFor, the batchsvc RWMutex, the obs registry): every
+// Lockcheck enforces the lock discipline of the hot paths (the framework's
+// write and rng mutexes, the batchsvc RWMutex, the obs registry): every
 // Lock/RLock must be released on every path to the function's exit, read
 // locks must not be upgraded in place, and mutexes must not be copied by
 // value.

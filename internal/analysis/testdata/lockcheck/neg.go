@@ -9,7 +9,7 @@ func (g *guarded) deferredIncrement() {
 }
 
 // readThenWrite drops the read lock before taking the write lock — the legal
-// version of the upgrade, exactly decompFor's pattern.
+// version of the upgrade.
 func (g *guarded) readThenWrite() int {
 	g.rw.RLock()
 	n := g.n

@@ -95,7 +95,7 @@ func BenchGenerateRSParallel(b *testing.B, lambda, workers int) {
 
 // checkParallelEquivalence proves the contract the speedup numbers rest on:
 // on the benchmark workload itself, every worker count returns the
-// sequential executor's exact ring for the same seed.
+// one-worker run's exact ring for the same seed.
 func checkParallelEquivalence(lambda int) error {
 	req := diversity.Requirement{C: 0.6, L: 40}
 	seqFW, d, err := parallelBenchFramework(lambda, 1, obs.NewRegistry())

@@ -1,10 +1,11 @@
 package tokenmagic
 
-// The parallel solve executor behind Algorithm 1's candidate sampling.
+// The solve executor behind Algorithm 1's candidate sampling.
 //
 // GenerateRS sweeps one DA-MS solve per batch token; the solves are
 // independent, so they fan out over a bounded worker pool
-// (Config.Parallelism). Three properties make the fan-out safe to rely on:
+// (Config.Parallelism) in which the calling goroutine is worker 0. Three
+// properties make the fan-out safe to rely on:
 //
 //  1. Determinism. Every request owns a 64-bit seed; the rng stream each
 //     candidate solve consumes (only TM_R draws) and the stream behind the
@@ -14,8 +15,8 @@ package tokenmagic
 //     replays byte-identically at every worker count — the contract the
 //     property and fuzz suites (prop_test.go, fuzz_test.go) enforce.
 //  2. Ordered merge. Results are gathered by candidate index, so the merged
-//     candidate list — and therefore the uniform pick — is identical to the
-//     sequential executor's.
+//     candidate list — and therefore the uniform pick — is the same at every
+//     worker count, one worker included.
 //  3. Cancellation. Workers solve under a context; when Config.StopAfter
 //     satisfying candidates are decided (in index order), or when the
 //     caller's context dies, in-flight sibling solves are cancelled and
@@ -77,7 +78,7 @@ func streamRand(seed int64, stream uint64) *rand.Rand {
 }
 
 // parallelism resolves Config.Parallelism: 0 means one worker per available
-// CPU, 1 forces the sequential executor, anything else is taken as given.
+// CPU, anything else is taken as given.
 func (f *Framework) parallelism() int {
 	if f.cfg.Parallelism > 0 {
 		return f.cfg.Parallelism
@@ -94,11 +95,16 @@ const (
 	candSat           // eligible candidate containing the target
 )
 
-// solveCandidate runs Algorithm 1 lines 3–5 for one batch token: build the
-// modular problem, solve it (TM_R gets its derived stream), and keep the
-// result only when it contains the consuming token.
-func (f *Framework) solveCandidate(ctx context.Context, e *fwEpoch, tok, target chain.TokenID, req diversity.Requirement, seed int64, idx int) (selector.Result, bool) {
-	p, u, err := f.problemFor(e, tok, req)
+// solveCandidate runs Algorithm 1 lines 3–5 for one batch token inside a
+// "candidate" span of the request's trace: build the modular problem, solve
+// it (TM_R gets its derived stream), and keep the result only when it
+// contains the consuming token. The span records which worker ran it and
+// the ring size it found; with no trace in ctx it is a no-op.
+func (f *Framework) solveCandidate(ctx context.Context, e *fwEpoch, worker int, tok, target chain.TokenID, req diversity.Requirement, seed int64, idx int) (selector.Result, bool) {
+	ctx, sp := trace.StartSpan(ctx, "candidate")
+	defer sp.End()
+	sp.AnnotateInt("worker", int64(worker))
+	p, s, err := f.problemFor(e, tok, req)
 	if err != nil {
 		return selector.Result{}, false
 	}
@@ -106,86 +112,40 @@ func (f *Framework) solveCandidate(ctx context.Context, e *fwEpoch, tok, target 
 	if f.cfg.Algorithm == RandomPick {
 		rng = streamRand(seed, uint64(idx))
 	}
-	res, err := f.solve(ctx, e, p, u, tok, req, rng)
+	res, err := f.solve(ctx, e, p, s, tok, req, rng)
 	if err != nil || !res.Tokens.Contains(target) {
 		return selector.Result{}, false
 	}
+	sp.AnnotateInt("ring_size", int64(res.Size()))
 	return res, true
 }
 
-// solveCandidateSpan wraps one candidate solve in a "candidate" span of the
-// request's trace, recording which worker ran it and the ring size it found.
-// The executor stays trace-agnostic below this point: with no trace in ctx
-// the span is a no-op and the only cost is one context lookup.
-func (f *Framework) solveCandidateSpan(ctx context.Context, e *fwEpoch, worker int, tok, target chain.TokenID, req diversity.Requirement, seed int64, idx int) (selector.Result, bool) {
-	ctx, sp := trace.StartSpan(ctx, "candidate")
-	defer sp.End()
-	sp.AnnotateInt("worker", int64(worker))
-	res, ok := f.solveCandidate(ctx, e, tok, target, req, seed, idx)
-	if ok {
-		sp.AnnotateInt("ring_size", int64(res.Size()))
-	}
-	return res, ok
-}
-
-// sampleCandidatesTraced wraps the candidate sweep in a "sample" span carrying
-// the request seed and the universe/candidate counts — the per-request view of
-// Algorithm 1 lines 2–6.
-func (f *Framework) sampleCandidatesTraced(ctx context.Context, e *fwEpoch, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, seed int64) ([]selector.Result, error) {
-	ctx, sp := trace.StartSpan(ctx, "sample")
+// sampleCandidates runs Algorithm 1 lines 2–6 inside a "sample" span: one
+// solve per batch token, keeping the candidates that contain the consuming
+// token, merged in batch token order. The calling goroutine is worker 0 and
+// the pool adds workers-1 goroutines, so one worker starts none; the result
+// is byte-identical for the same seed at every worker count. A non-nil
+// error is only ever the caller's context failing.
+func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, seed int64) ([]selector.Result, error) {
+	// cancel() fires either when the caller's context dies or when the
+	// decided prefix proves the first StopAfter satisfying candidates are in
+	// hand; cancelled workers leave their slot pending, which is fine — a
+	// pending slot can only sit beyond the prefix that triggered the stop,
+	// and the gather below never reads past it. The span context wraps the
+	// cancel context, not the other way round, so each candidate span finds
+	// its trace without a context-chain lookup.
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cctx, sp := trace.StartSpan(cctx, "sample")
 	defer sp.End()
 	// The seed is per-request context, kept at trace level so the span's
 	// fixed annotation slots stay within budget.
-	trace.FromContext(ctx).AnnotateInt("seed", seed)
+	trace.FromContext(cctx).AnnotateInt("seed", seed)
 	sp.AnnotateInt("universe", int64(len(universe)))
-	candidates, err := f.sampleCandidates(ctx, e, universe, target, req, seed)
-	sp.AnnotateInt("candidates", int64(len(candidates)))
-	return candidates, err
-}
-
-// sampleCandidates runs Algorithm 1 lines 2–6: one solve per batch token,
-// keeping the candidates that contain the consuming token, merged in batch
-// token order. With one worker it runs in-place; otherwise the solves fan
-// out over the pool. Both paths return byte-identical slices for the same
-// seed. A non-nil error is only ever the caller's context failing.
-func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, seed int64) ([]selector.Result, error) {
 	n := len(universe)
-	if n == 0 {
-		return nil, ctx.Err()
-	}
-	workers := f.parallelism()
-	if workers > n {
-		workers = n
-	}
+	workers := min(f.parallelism(), n)
 	results := make([]selector.Result, n)
 	states := make([]uint8, n)
-
-	if workers <= 1 {
-		sat := 0
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if res, ok := f.solveCandidateSpan(ctx, e, 0, universe[i], target, req, seed, i); ok {
-				results[i], states[i] = res, candSat
-				sat++
-				if f.cfg.StopAfter > 0 && sat >= f.cfg.StopAfter {
-					break
-				}
-			} else {
-				states[i] = candUnsat
-			}
-		}
-		return gatherCandidates(results, states, f.cfg.StopAfter), nil
-	}
-
-	// Parallel path. cancel() fires either when the caller's context dies or
-	// when the decided prefix proves the first StopAfter satisfying
-	// candidates are in hand; cancelled workers leave their slot pending,
-	// which is fine — a pending slot can only sit beyond the prefix that
-	// triggered the stop, and the gather below never reads past it.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	var (
 		mu      sync.Mutex
 		decided int // slots [0, decided) are all non-pending
@@ -212,31 +172,38 @@ func (f *Framework) sampleCandidates(ctx context.Context, e *fwEpoch, universe c
 		}
 	}
 	var next atomic.Int64
+	work := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || cctx.Err() != nil {
+				return
+			}
+			res, ok := f.solveCandidate(cctx, e, w, universe[i], target, req, seed, i)
+			finish(i, res, ok)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || cctx.Err() != nil {
-					return
-				}
-				res, ok := f.solveCandidateSpan(cctx, e, w, universe[i], target, req, seed, i)
-				finish(i, res, ok)
-			}
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err // the caller's context died, not a StopAfter stop
+	var candidates []selector.Result
+	err := ctx.Err() // the caller's context died, not a StopAfter stop
+	if err == nil {
+		candidates = gatherCandidates(results, states, f.cfg.StopAfter)
 	}
-	return gatherCandidates(results, states, f.cfg.StopAfter), nil
+	sp.AnnotateInt("candidates", int64(len(candidates)))
+	return candidates, err
 }
 
 // gatherCandidates merges the decided slots in candidate order, truncating
-// at the StopAfter budget so sequential and parallel executors agree even
-// when a fast sibling decided extra slots before cancellation landed.
+// at the StopAfter budget so every worker count agrees even when a fast
+// sibling decided extra slots before cancellation landed.
 func gatherCandidates(results []selector.Result, states []uint8, stopAfter int) []selector.Result {
 	var out []selector.Result
 	for i, s := range states {

@@ -100,6 +100,46 @@ func TestStopAfterDeterministicPrefix(t *testing.T) {
 	}
 }
 
+// At one worker, StopAfter=1 must stop right after the first satisfying
+// candidate: the solves dispatched are exactly that candidate's index plus
+// one.
+func TestStopAfterOneWorkerSolvesPrefix(t *testing.T) {
+	l := samplingLedger(t, 14)
+	req := diversity.Requirement{C: 1, L: 3}
+	const target, seed = chain.TokenID(9), 77
+	f, err := New(l, Config{
+		Lambda: 100, Headroom: true, Algorithm: Progressive,
+		Randomize: true, Parallelism: 1, StopAfter: 1,
+	}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(l, Config{Lambda: 100, Headroom: true, Algorithm: Progressive}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe, err := ref.Batches().Universe(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for i, tok := range universe {
+		if _, ok := ref.solveCandidate(context.Background(), ref.epoch.Load(), 0, tok, target, req, seed, i); ok {
+			first = i
+			break
+		}
+	}
+	if first < 1 {
+		t.Fatalf("first satisfying candidate at %d; the test needs one past index 0", first)
+	}
+	if _, err := f.GenerateRSSeeded(context.Background(), target, req, seed); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Stats().Solves; got != int64(first+1) {
+		t.Fatalf("StopAfter=1 dispatched %d solves, want %d", got, first+1)
+	}
+}
+
 // UpdateLedger must atomically grow the chain and the batch partition:
 // tokens minted through it become spendable without rebuilding the
 // framework.

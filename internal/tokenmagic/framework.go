@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,9 +84,10 @@ type Config struct {
 	// what the paper's timing figures measure.
 	Randomize bool
 	// Parallelism bounds the candidate-sampling worker pool: 0 uses one
-	// worker per available CPU (GOMAXPROCS), 1 forces the sequential
-	// executor, n > 1 caps the pool at n goroutines. The output is
-	// byte-identical per seed at every setting (see executor.go).
+	// worker per available CPU (GOMAXPROCS), n > 0 caps the pool at n
+	// workers, the calling goroutine included, so 1 runs every solve on the
+	// caller. The output is byte-identical per seed at every setting (see
+	// executor.go).
 	Parallelism int
 	// StopAfter, when positive, stops candidate sampling once the first
 	// StopAfter satisfying candidates — in batch-token order — are decided,
@@ -106,18 +108,18 @@ func DefaultConfig() Config {
 	return Config{Lambda: 800, Eta: 0.1, Headroom: true, Algorithm: Progressive}
 }
 
-// Framework wires a ledger, its batch list and the per-batch decomposition
-// cache together.
+// Framework wires a ledger, its batch list and the per-batch state
+// together.
 //
 // Concurrency: a Framework is safe for concurrent use, and readers never
 // contend with writers. Every mutation (Commit, RefreshBatches,
 // UpdateLedger) serialises on writeMu and publishes a fresh immutable
-// fwEpoch — ledger view, batch partition, decomposition cache — via one
+// fwEpoch — ledger view, batch partition, per-batch state — via one
 // atomic store. Read paths (GenerateRS, VerifyRS, Batches) pin the
 // current epoch with one atomic load and run entirely against that
 // snapshot: the candidate-sampling worker pool, the Step-3 checks and the
-// decomposition cache all see a single consistent generation even while
-// commits land concurrently.
+// per-batch decompositions all see a single consistent generation even
+// while commits land concurrently.
 type Framework struct {
 	cfg Config
 
@@ -145,24 +147,32 @@ type fwEpoch struct {
 	view    *chain.View
 	batches *chain.BatchList
 	origin  func(chain.TokenID) chain.TxID
-	// decomp is shared across Commit-successive epochs (entries
-	// self-invalidate on ring count) and replaced wholesale when batch
-	// boundaries move (RefreshBatches, UpdateLedger).
-	decomp *decompTable
+	// state holds one entry per batch, indexed by Batch.Index. A commit
+	// replaces only its own batch's entry, since a ring lies inside one
+	// batch and cannot change another batch's ring graph; moving batch
+	// boundaries (RefreshBatches, UpdateLedger) starts a fresh slice.
+	state []*batchState
 }
 
-// decompTable holds the per-batch decomposition cache of one batch-boundary
-// generation. The mutex guards only the map of entries; hits read an
-// entry's atomic snapshot, and a stale entry refreshes under its own mutex
-// (single-flight per batch), so concurrent sampleCandidates workers never
-// serialise globally on a recompute.
-type decompTable struct {
-	mu sync.RWMutex
-	m  map[int]*decompCache
+// batchState is one batch's ring list and module decomposition, filled once
+// on first use. Every epoch sharing the entry has the same rings over the
+// batch, so whichever epoch fills it computes the same value.
+type batchState struct {
+	tokens chain.TokenSet // the batch's tokens: its members' mixin universe
+	once   sync.Once
+	rings  []chain.RingRecord // rings intersecting the batch, in proposal order
+	supers []selector.Super
+	fresh  chain.TokenSet
 }
 
-func newDecompTable() *decompTable {
-	return &decompTable{m: make(map[int]*decompCache)}
+// newBatchStates returns one unfilled entry per batch.
+func newBatchStates(bl *chain.BatchList) []*batchState {
+	state := make([]*batchState, bl.Len())
+	for i := range state {
+		b, _ := bl.Batch(i) // i < bl.Len()
+		state[i] = &batchState{tokens: b.Tokens}
+	}
+	return state
 }
 
 // fwMetrics holds the registry handles the framework reports to.
@@ -214,7 +224,8 @@ type Stats struct {
 	// Solves counts solver dispatches; SolveFailures those that returned an
 	// error (ErrNoEligible included).
 	Solves, SolveFailures int64
-	// CacheHits/CacheMisses cover the per-batch decomposition cache.
+	// CacheHits/CacheMisses count per-batch state lookups; a miss is a
+	// lookup that filled the entry.
 	CacheHits, CacheMisses int64
 	// VerifyAdmits counts rings that passed the Step-3 checks; the Reject*
 	// fields classify the failures (η guard, practical configuration,
@@ -283,22 +294,6 @@ func (f *Framework) Stats() Stats {
 		RejectDiversity: rejDiversity,
 		RejectOther:     rejOther,
 	}
-}
-
-// decompCache is one batch's cache slot: an immutable snapshot swapped
-// atomically, plus a refresh mutex that single-flights recomputation.
-type decompCache struct {
-	refreshMu sync.Mutex
-	snap      atomic.Pointer[decompSnapshot]
-}
-
-// decompSnapshot is an immutable decomposition of one batch at one ledger
-// version. Readers share it without locking.
-type decompSnapshot struct {
-	ringCount int // ledger.NumRS() when filled
-	rings     []chain.RingRecord
-	supers    []selector.Super
-	fresh     chain.TokenSet
 }
 
 // Errors surfaced by the framework.
@@ -370,9 +365,7 @@ func (f *Framework) rebuildEpoch() error {
 		view:    v,
 		batches: batches,
 		origin:  v.OriginFunc(),
-		// Batch boundaries may have moved; the ring-count keyed
-		// decomposition cache cannot tell, so start a fresh table.
-		decomp: newDecompTable(),
+		state:   newBatchStates(batches),
 	})
 	return nil
 }
@@ -466,63 +459,39 @@ func (f *Framework) effectiveReq(req diversity.Requirement) diversity.Requiremen
 }
 
 // problemFor assembles the modular problem for one consuming token against
-// one pinned epoch, using the cached per-batch decomposition when the
-// epoch's view matches the ring count it was computed at.
-func (f *Framework) problemFor(e *fwEpoch, target chain.TokenID, req diversity.Requirement) (*selector.Problem, chain.TokenSet, error) {
+// one pinned epoch from the state of the token's batch, which it also
+// returns.
+func (f *Framework) problemFor(e *fwEpoch, target chain.TokenID, req diversity.Requirement) (*selector.Problem, *batchState, error) {
 	b, err := e.batches.BatchOf(target)
 	if err != nil {
 		return nil, nil, err
 	}
-	dc := f.decompFor(e, b)
-	p, err := selector.NewProblem(target, dc.supers, dc.fresh, e.origin, f.effectiveReq(req))
+	s := f.batchState(e, b.Index)
+	p, err := selector.NewProblem(target, s.supers, s.fresh, e.origin, f.effectiveReq(req))
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, b.Tokens, nil
+	return p, s, nil
 }
 
-// decompFor returns the batch's decomposition at the pinned epoch,
-// refreshing the cache entry if it was computed at a different ring count.
-// Cache hits take only the table's read lock plus an atomic load; a miss
-// recomputes under the batch's own refresh mutex, so concurrent workers on
-// the same stale batch wait for one recompute (single-flight) while other
-// batches proceed. The table is shared across Commit-successive epochs —
-// safe because the ring list is append-only, so equal ring counts imply
-// identical rings.
-func (f *Framework) decompFor(e *fwEpoch, b chain.Batch) *decompSnapshot {
-	t := e.decomp
-	t.mu.RLock()
-	dc := t.m[b.Index]
-	t.mu.RUnlock()
-	if dc == nil {
-		t.mu.Lock()
-		if dc = t.m[b.Index]; dc == nil {
-			dc = &decompCache{}
-			t.m[b.Index] = dc
-		}
-		t.mu.Unlock()
-	}
-	cur := e.view.NumRS()
-	if s := dc.snap.Load(); s != nil && s.ringCount == cur {
+// batchState returns batch i's state at the pinned epoch, filling it on
+// first use. Concurrent callers on an unfilled entry wait for the one fill;
+// the caller that ran it counts a miss, every other caller a hit.
+func (f *Framework) batchState(e *fwEpoch, i int) *batchState {
+	s := e.state[i]
+	filled := false
+	s.once.Do(func() {
+		s.rings = e.view.RingsOver(s.tokens)
+		s.supers, s.fresh = selector.Decompose(s.rings, s.tokens)
+		filled = true
+	})
+	if filled {
+		f.stats.cacheMisses.Add(1)
+		f.metrics.cacheMisses.Inc()
+	} else {
 		f.stats.cacheHits.Add(1)
 		f.metrics.cacheHits.Inc()
-		return s
 	}
-	dc.refreshMu.Lock()
-	defer dc.refreshMu.Unlock()
-	// Re-check: another worker may have refreshed to this epoch's version
-	// while we waited.
-	if s := dc.snap.Load(); s != nil && s.ringCount == cur {
-		f.stats.cacheHits.Add(1)
-		f.metrics.cacheHits.Inc()
-		return s
-	}
-	f.stats.cacheMisses.Add(1)
-	f.metrics.cacheMisses.Inc()
-	rings := e.view.RingsOver(b.Tokens)
-	supers, fresh := selector.Decompose(rings, b.Tokens)
-	s := &decompSnapshot{ringCount: cur, rings: rings, supers: supers, fresh: fresh}
-	dc.snap.Store(s)
 	return s
 }
 
@@ -530,11 +499,11 @@ func (f *Framework) decompFor(e *fwEpoch, b chain.Batch) *decompSnapshot {
 // and latency (candidate sampling makes this the hot path: one call per
 // batch token per spend). Counter order matters to Stats: the total is
 // bumped before the failure sub-counter so snapshots never see
-// SolveFailures > Solves. rng is the solve's private derived stream; only
-// TM_R consumes it.
-func (f *Framework) solve(ctx context.Context, e *fwEpoch, p *selector.Problem, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, rng *rand.Rand) (selector.Result, error) {
+// SolveFailures > Solves. s is the state of target's batch, the problem's
+// source; rng is the solve's private derived stream, only TM_R consumes it.
+func (f *Framework) solve(ctx context.Context, e *fwEpoch, p *selector.Problem, s *batchState, target chain.TokenID, req diversity.Requirement, rng *rand.Rand) (selector.Result, error) {
 	start := time.Now()
-	res, err := f.dispatch(ctx, e, p, universe, target, req, rng)
+	res, err := f.dispatch(ctx, e, p, s, target, req, rng)
 	f.metrics.solveCount.Inc()
 	f.metrics.solveLatency.ObserveSince(start)
 	f.stats.solves.Add(1)
@@ -544,7 +513,7 @@ func (f *Framework) solve(ctx context.Context, e *fwEpoch, p *selector.Problem, 
 	return res, err
 }
 
-func (f *Framework) dispatch(ctx context.Context, e *fwEpoch, p *selector.Problem, universe chain.TokenSet, target chain.TokenID, req diversity.Requirement, rng *rand.Rand) (selector.Result, error) {
+func (f *Framework) dispatch(ctx context.Context, e *fwEpoch, p *selector.Problem, s *batchState, target chain.TokenID, req diversity.Requirement, rng *rand.Rand) (selector.Result, error) {
 	switch f.cfg.Algorithm {
 	case Progressive:
 		return selector.ProgressiveCtx(ctx, p)
@@ -560,8 +529,8 @@ func (f *Framework) dispatch(ctx context.Context, e *fwEpoch, p *selector.Proble
 	case BFS:
 		return selector.BFSCtx(ctx, &selector.ExactProblem{
 			Target:   target,
-			Universe: universe,
-			Rings:    e.view.RingsOver(universe),
+			Universe: s.tokens,
+			Rings:    s.rings,
 			Origin:   e.origin,
 			// The exact solver enforces DTRS diversity itself, so it must
 			// see the same headroom-adjusted requirement the Step-3 check
@@ -636,7 +605,7 @@ func (f *Framework) generateRSSeeded(ctx context.Context, e *fwEpoch, target cha
 		return selector.Result{}, err
 	}
 	if !f.cfg.Randomize {
-		p, universe, err := f.problemFor(e, target, req)
+		p, s, err := f.problemFor(e, target, req)
 		if err != nil {
 			return selector.Result{}, err
 		}
@@ -644,13 +613,13 @@ func (f *Framework) generateRSSeeded(ctx context.Context, e *fwEpoch, target cha
 		if f.cfg.Algorithm == RandomPick {
 			rng = streamRand(seed, soloStream)
 		}
-		return f.solve(ctx, e, p, universe, target, req, rng)
+		return f.solve(ctx, e, p, s, target, req, rng)
 	}
 	universe, err := e.batches.Universe(target)
 	if err != nil {
 		return selector.Result{}, err
 	}
-	candidates, err := f.sampleCandidatesTraced(ctx, e, universe, target, req, seed)
+	candidates, err := f.sampleCandidates(ctx, e, universe, target, req, seed)
 	if err != nil {
 		return selector.Result{}, err
 	}
@@ -699,11 +668,16 @@ func (f *Framework) CommitCtx(ctx context.Context, tokens chain.TokenSet, req di
 	if err != nil {
 		return -1, err
 	}
+	// verifyRS proved the ring lies inside tokens[0]'s batch, so only that
+	// batch's entry goes stale.
+	b, _ := e.batches.BatchOf(tokens[0])
+	state := slices.Clone(e.state)
+	state[b.Index] = &batchState{tokens: b.Tokens}
 	f.publishEpoch(&fwEpoch{
 		view:    f.ledger.View(),
 		batches: e.batches, // a commit appends a ring; boundaries are unchanged
 		origin:  e.origin,  // and so is the token population
-		decomp:  e.decomp,  // entries self-invalidate on ring count
+		state:   state,
 	})
 	f.metrics.epochAdvance.ObserveSince(start)
 	return id, nil
@@ -713,7 +687,8 @@ func (f *Framework) CommitCtx(ctx context.Context, tokens chain.TokenSet, req di
 // practical configuration (superset-or-disjoint with every existing ring,
 // all tokens in one batch), the declared diversity with headroom, the
 // closed-form DTRS diversity, and the η liveness guard. Safe for concurrent
-// use; it shares mu's read side with GenerateRS.
+// use: like GenerateRS it takes no lock and checks against the epoch it
+// pinned on entry.
 func (f *Framework) VerifyRS(tokens chain.TokenSet, req diversity.Requirement) error {
 	return f.VerifyRSCtx(context.Background(), tokens, req)
 }
@@ -776,7 +751,7 @@ func (f *Framework) verifyRS(e *fwEpoch, tokens chain.TokenSet, req diversity.Re
 		return fmt.Errorf("%w: ring spans multiple batches", ErrConfig)
 	}
 
-	rings := e.view.RingsOver(b.Tokens)
+	rings := f.batchState(e, b.Index).rings
 	subsetCount := 1 // the new ring itself
 	for _, r := range rings {
 		switch {

@@ -1,6 +1,7 @@
 package tokenmagic
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -89,6 +90,61 @@ func TestDecompositionCacheInvalidation(t *testing.T) {
 	if !first.Tokens.SubsetOf(second.Tokens) {
 		t.Fatalf("stale decomposition: new ring %v does not contain committed super %v",
 			second.Tokens, first.Tokens)
+	}
+}
+
+// A commit invalidates only its own batch's state: generating in batch 1
+// after a commit in batch 0 reuses batch 1's decomposition, and the ring it
+// yields equals a freshly built framework's for the same seed.
+func TestCommitKeepsOtherBatchesState(t *testing.T) {
+	l := chain.NewLedger()
+	for blk := 0; blk < 2; blk++ {
+		b := l.BeginBlock()
+		for i := 0; i < 10; i++ {
+			if _, err := l.AddTx(b, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cfg := Config{Lambda: 20, Headroom: true, Algorithm: Progressive, Randomize: true}
+	f, err := New(l, cfg, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Batches().Len() != 2 {
+		t.Fatalf("want 2 batches, got %d", f.Batches().Len())
+	}
+	req := diversity.Requirement{C: 1, L: 3}
+	ctx := context.Background()
+	const target, seed = chain.TokenID(25), 13
+	spent, err := f.GenerateRSSeeded(ctx, 3, req, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.GenerateRSSeeded(ctx, target, req, seed); err != nil {
+		t.Fatal(err)
+	}
+	misses := f.Stats().CacheMisses
+	if _, err := f.Commit(spent.Tokens, req); err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.GenerateRSSeeded(ctx, target, req, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := f.Stats().CacheMisses; m != misses {
+		t.Fatalf("commit in batch 0 refilled batch 1: misses %d -> %d", misses, m)
+	}
+	fresh, err := New(l, cfg, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.GenerateRSSeeded(ctx, target, req, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Tokens.Equal(want.Tokens) {
+		t.Fatalf("ring after foreign-batch commit %v, fresh framework %v", got.Tokens, want.Tokens)
 	}
 }
 
