@@ -12,9 +12,7 @@ package bench
 // The batch arms are labeled by what they amortise:
 //
 //   - stock_per_sig:       pre-kernel Verify in a loop (the baseline)
-//   - kernel_batch:        VerifyBatch, per-batch Hp memo, no transcript cache
-//   - kernel_batch_warm_hp: VerifyBatch against a registry-precomputed Hp
-//     cache (a node knows its key universe ahead of time)
+//   - kernel_batch:        VerifyBatch, no transcript cache
 //   - cached_block_validation: VerifyBatch with the transcript cache warmed
 //     by admission-time verification — the paper's Step-4 workload, where a
 //     miner re-validates at block time what it already verified at submit
@@ -94,11 +92,9 @@ func (r *benchRand) Read(p []byte) (int, error) {
 }
 
 // ringsigWorkload is a batch of signed rings drawn from a shared key pool —
-// rings overlap, so the Hp memo has repeats to amortise, as mixin rings over
-// one ledger do.
+// rings overlap, as mixin rings over one ledger do.
 type ringsigWorkload struct {
 	pool []*ringsig.PrivateKey
-	pubs []ringsig.Point
 	reqs []ringsig.VerifyRequest
 }
 
@@ -112,7 +108,6 @@ func buildRingsigWorkload(ringSize, batch int, seed string) (*ringsigWorkload, e
 			return nil, err
 		}
 		w.pool = append(w.pool, k)
-		w.pubs = append(w.pubs, k.Public)
 	}
 	for b := 0; b < batch; b++ {
 		// Rotate through the pool so consecutive rings share most members.
@@ -269,16 +264,6 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 					}
 				}
 			}},
-			{"kernel_verify_warm_hp", func(b *testing.B) {
-				eng := ringsig.Engine{Hp: ringsig.NewHpCache()}
-				eng.Hp.Precompute(w.pubs)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := eng.Verify(req.Sig, req.Ring, req.Msg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}},
 		}
 		var stockSignNs, stockVerifyNs float64
 		for _, arm := range arms {
@@ -333,32 +318,10 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 					NsPerOp: ns, SigsPerSec: sps, SpeedupVsStock: stockNs / ns,
 				})
 			}
-			// Registry-precomputed Hp: the node built its cache from the key
-			// universe at startup, so hashToPoint never runs during verify.
-			ns, sps := measureBatch(batch, func(b *testing.B) {
-				eng := ringsig.Engine{Hp: ringsig.NewHpCache(), Workers: 1}
-				eng.Hp.Precompute(w.pubs)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res := eng.VerifyBatch(context.Background(), w.reqs)
-					if !res.OK() {
-						b.Fatal("batch rejected")
-					}
-				}
-			})
-			rep.BatchArms = append(rep.BatchArms, RingsigBenchPoint{
-				Arm: "kernel_batch_warm_hp", Ring: ringSize, Batch: batch, Workers: 1,
-				NsPerOp: ns, SigsPerSec: sps, SpeedupVsStock: stockNs / ns,
-			})
 			// Block validation: every signature was verified at admission, so
 			// the transcript cache settles the re-verify with one hash each.
-			ns, sps = measureBatch(batch, func(b *testing.B) {
-				eng := ringsig.Engine{
-					Hp:      ringsig.NewHpCache(),
-					Seen:    ringsig.NewSigCache(4 * batch),
-					Workers: 1,
-				}
-				eng.Hp.Precompute(w.pubs)
+			ns, sps := measureBatch(batch, func(b *testing.B) {
+				eng := ringsig.Engine{Seen: ringsig.NewSigCache(4 * batch), Workers: 1}
 				if res := eng.VerifyBatch(context.Background(), w.reqs); !res.OK() {
 					b.Fatal("warmup batch rejected")
 				}

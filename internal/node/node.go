@@ -67,8 +67,7 @@ type Node struct {
 	verifySigs bool
 	keys       map[chain.TokenID]*ringsig.PrivateKey
 	// engine amortises signature verification across the node's lifetime:
-	// its hash-to-point memo is pre-warmed from the key registry and its
-	// transcript cache lets block validation skip chains the admission
+	// its transcript cache lets block validation skip chains the admission
 	// check already walked.
 	engine  *ringsig.Engine
 	metrics *obs.Registry
@@ -122,16 +121,7 @@ func New(ledger *chain.Ledger, cfg Config) (*Node, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	engine := &ringsig.Engine{Hp: ringsig.NewHpCache(), Seen: ringsig.NewSigCache(sigCacheEntries)}
-	if cfg.Keys != nil {
-		// The spendable key population is known up front: resolve every
-		// hash-to-point once now so no verification ever pays for it.
-		pubs := make([]ringsig.Point, 0, len(cfg.Keys))
-		for _, sk := range cfg.Keys {
-			pubs = append(pubs, sk.Public)
-		}
-		engine.Hp.Precompute(pubs)
-	}
+	engine := &ringsig.Engine{Seen: ringsig.NewSigCache(sigCacheEntries)}
 	return &Node{
 		ledger:     ledger,
 		fw:         fw,

@@ -1,9 +1,9 @@
 package ringsig
 
 // Engine + VerifyBatch: the batch verification front-end over the kernel
-// layer. An Engine owns the two caches that amortise repeated work — the
-// hash-to-point memo and the verified-transcript cache — and fans batches
-// across a bounded worker pool using the same atomic-cursor pattern as the
+// layer. An Engine owns the verified-transcript cache that lets re-checks
+// of admitted signatures skip the challenge chain, and fans batches across
+// a bounded worker pool using the same atomic-cursor pattern as the
 // candidate executor in internal/tokenmagic.
 
 import (
@@ -15,14 +15,11 @@ import (
 )
 
 // Engine verifies ring signatures through the scalar-mult kernels with
-// optional cross-call amortisation. The zero value is ready to use and
-// caches nothing; package-level Verify routes through it. Fields are
+// an optional transcript cache. The zero value is ready to use and caches
+// nothing; package-level Verify routes through it. Fields are
 // configuration, set before first use and not mutated afterwards; the
-// caches themselves are safe for concurrent use.
+// cache itself is safe for concurrent use.
 type Engine struct {
-	// Hp memoises hash-to-point across calls. nil: VerifyBatch installs a
-	// fresh memo per batch (single Verify calls compute directly).
-	Hp *HpCache
 	// Seen remembers transcripts that verified, so re-validating a
 	// signature the node already admitted (block validation at mine time)
 	// skips the challenge chain. nil: every call walks the chain.
@@ -57,16 +54,18 @@ func (r BatchResult) OK() bool { return r.FirstFailure == -1 }
 // errUndecided marks slots a cancelled batch never reached.
 var errUndecided = errors.New("ringsig: batch verification cancelled")
 
-// Verify checks one signature through the engine's caches.
+// Verify checks one signature through the engine's transcript cache.
 func (e *Engine) Verify(sig *Signature, ring []Point, msg []byte) error {
-	err, _ := e.verifyOne(sig, ring, msg, e.Hp)
+	err, _ := e.verifyOne(sig, ring, msg)
 	return err
 }
 
 // VerifyBatch checks a batch of ring signatures over a bounded worker pool.
 // Requests are independent, so workers claim indices off an atomic cursor
 // (the executor pattern from internal/tokenmagic) and record per-index
-// results; the merged BatchResult is identical at every worker count.
+// results; the merged BatchResult is identical at every worker count. The
+// calling goroutine is worker 0 and the pool adds workers-1 goroutines, so
+// one worker starts none.
 //
 // Failure handling: when the kernel path rejects a signature, the batch
 // falls back to per-signature verification on the stock curve ops for that
@@ -81,75 +80,55 @@ func (e *Engine) VerifyBatch(ctx context.Context, reqs []VerifyRequest) BatchRes
 	if len(reqs) == 0 {
 		return res
 	}
-	hp := e.Hp
-	if hp == nil {
-		// Memo lifetime = this batch: rings drawn from one ledger overlap,
-		// so even a batch-scoped memo removes most hash-to-point work.
-		hp = NewHpCache()
-	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(reqs) {
-		workers = len(reqs)
+	workers = min(workers, len(reqs))
+	for i := range res.Errs {
+		res.Errs[i] = errUndecided
 	}
 
-	var hits, rechecked atomic.Int64
-	check := func(i int) {
-		err, hit := e.verifyOne(reqs[i].Sig, reqs[i].Ring, reqs[i].Msg, hp)
-		if hit {
-			hits.Add(1)
-		}
-		if err != nil {
-			// Identification fallback: confirm on the stock path.
-			err = StockVerify(reqs[i].Sig, reqs[i].Ring, reqs[i].Msg)
-			rechecked.Add(1)
-		}
-		res.Errs[i] = err
-	}
-
-	if workers <= 1 {
-		for i := range reqs {
-			if ctx.Err() != nil {
-				res.Errs[i] = ctx.Err()
-				continue
+	var next, hits, rechecked atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(reqs) || ctx.Err() != nil {
+				return
 			}
-			check(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for i := range res.Errs {
-			res.Errs[i] = errUndecided
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(reqs) || ctx.Err() != nil {
-						return
-					}
-					check(i)
-				}
-			}()
-		}
-		wg.Wait()
-		for i, err := range res.Errs {
-			if err == errUndecided { // cancelled before this slot was claimed
-				res.Errs[i] = ctx.Err()
+			r := reqs[i]
+			err, hit := e.verifyOne(r.Sig, r.Ring, r.Msg)
+			if hit {
+				hits.Add(1)
 			}
+			if err != nil {
+				// Identification fallback: confirm on the stock path.
+				err = StockVerify(r.Sig, r.Ring, r.Msg)
+				rechecked.Add(1)
+			}
+			res.Errs[i] = err
 		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 
 	res.CacheHits = int(hits.Load())
 	res.Rechecked = int(rechecked.Load())
 	for i, err := range res.Errs {
-		if err != nil {
+		if err == errUndecided { // cancelled before this slot was claimed
+			err = ctx.Err()
+			res.Errs[i] = err
+		}
+		if err != nil && res.FirstFailure == -1 {
 			res.FirstFailure = i
-			break
 		}
 	}
 	return res
@@ -159,7 +138,7 @@ func (e *Engine) VerifyBatch(ctx context.Context, reqs []VerifyRequest) BatchRes
 // the same order (and with the same error identities) as the stock
 // implementation, then the transcript cache, then the challenge chain
 // through the kernels. Successful chains are recorded in the cache.
-func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache) (err error, cacheHit bool) {
+func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte) (err error, cacheHit bool) {
 	n := len(ring)
 	if sig == nil || n < 2 || len(sig.S) != n || sig.C0 == nil {
 		return ErrInvalid, false
@@ -198,7 +177,7 @@ func (e *Engine) verifyOne(sig *Signature, ring []Point, msg []byte, hp *HpCache
 
 	c := sig.C0
 	for i := 0; i < n; i++ {
-		c = ringStep(msg, ring[i], sig.Image, sig.S[i], c, hp)
+		c = ringStep(msg, ring[i], sig.Image, sig.S[i], c)
 	}
 	if c.Cmp(sig.C0) != 0 {
 		return ErrInvalid, false

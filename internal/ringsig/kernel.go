@@ -66,24 +66,23 @@ func mulPair(a *big.Int, q Point, b *big.Int, r Point) Point {
 	return Point{X: x, Y: y}
 }
 
-// ringStep computes c_{i+1} = H(msg, s·G + c·P, s·Hp(P) + c·I) through the
-// kernels, resolving Hp(P) via the memo when one is supplied.
-func ringStep(msg []byte, pub, image Point, s, c *big.Int, hp *HpCache) *big.Int {
+// layerPoints computes (s·G + c·P, s·Hp(P) + c·I) for one ring member
+// through the kernels, hashing P to its point afresh on every call. s and c
+// are public here: verification scalars, or decoy responses while signing;
+// the secret-nonce steps of Sign and MultiSign use the stock constant-time
+// ops directly.
+func layerPoints(pub, image Point, s, c *big.Int) (Point, Point) {
 	l := mulPairBase(s, c, pub)
-	r := mulPair(s, hp.hashPoint(pub), c, image)
-	return challenge(msg, l, r)
+	r := mulPair(s, hashToPoint(pub), c, image)
+	return l, r
 }
 
-// small returns a cached *big.Int for v ∈ [0, 16).
-func small(v int64) *big.Int { return smallInts[v] }
-
-var smallInts = func() [16]*big.Int {
-	var s [16]*big.Int
-	for i := range s {
-		s[i] = big.NewInt(int64(i))
-	}
-	return s
-}()
+// ringStep computes c_{i+1} = H(msg, s·G + c·P, s·Hp(P) + c·I) through the
+// kernels.
+func ringStep(msg []byte, pub, image Point, s, c *big.Int) *big.Int {
+	l, r := layerPoints(pub, image, s, c)
+	return challenge(msg, l, r)
+}
 
 // reduceScalar returns k mod N without copying when k is already in range —
 // the verification path always is; the reduction only triggers on tampered

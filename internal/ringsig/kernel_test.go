@@ -320,14 +320,16 @@ func TestVerifyBatchNegatives(t *testing.T) {
 	t.Run("cancelled context", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res := e.VerifyBatch(ctx, reqs)
-		for i, err := range res.Errs {
-			if err == nil {
-				t.Fatalf("index %d decided despite cancelled ctx", i)
+		for _, w := range []int{1, 2} {
+			res := (&Engine{Workers: w}).VerifyBatch(ctx, reqs)
+			for i, err := range res.Errs {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("workers=%d: index %d: err = %v, want context.Canceled", w, i, err)
+				}
 			}
-		}
-		if res.OK() {
-			t.Fatal("cancelled batch cannot be OK")
+			if res.OK() {
+				t.Fatalf("workers=%d: cancelled batch cannot be OK", w)
+			}
 		}
 	})
 }
@@ -339,11 +341,7 @@ func TestEngineCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Hp: NewHpCache(), Seen: NewSigCache(128), Workers: 1}
-	e.Hp.Precompute(ring)
-	if e.Hp.Len() != len(ring) {
-		t.Fatalf("Precompute: Len = %d, want %d", e.Hp.Len(), len(ring))
-	}
+	e := &Engine{Seen: NewSigCache(128), Workers: 1}
 	reqs := []VerifyRequest{{Sig: sig, Ring: ring, Msg: msg}}
 	if res := e.VerifyBatch(context.Background(), reqs); !res.OK() || res.CacheHits != 0 {
 		t.Fatalf("first pass: %+v", res)

@@ -193,16 +193,6 @@ func LinkedMulti(a, b *MultiSignature) bool {
 	return false
 }
 
-// layerPoints computes (s·G + c·P, s·Hp(P) + c·I) for one matrix cell
-// through the verification kernels. s and c are public here: MultiSign only
-// calls it for decoy rows, and the secret-nonce seed row above uses the
-// stock constant-time ops directly.
-func layerPoints(pub, image Point, s, c *big.Int) (Point, Point) {
-	l := mulPairBase(s, c, pub)
-	r := mulPair(s, hashToPoint(pub), c, image)
-	return l, r
-}
-
 // multiChallenge hashes a transcript of points into a scalar.
 //
 // The v2 transcript is length-unambiguous: v1 concatenated the raw message

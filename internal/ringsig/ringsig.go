@@ -151,7 +151,7 @@ func Sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte
 		if err != nil {
 			return nil, err
 		}
-		c[(i+1)%n] = ringStep(msg, ring[i], image, s[i], c[i], nil)
+		c[(i+1)%n] = ringStep(msg, ring[i], image, s[i], c[i])
 	}
 
 	// Close the ring: s_π = α − c_π·x (mod N).
@@ -165,8 +165,9 @@ func Sign(rng io.Reader, sk *PrivateKey, ring []Point, signerIdx int, msg []byte
 
 // Verify checks the signature over msg against the ring. It is a thin
 // wrapper over a cache-less Engine: same decisions, kernel-accelerated
-// chain. Callers verifying many signatures should hold an Engine (or call
-// VerifyBatch) so the hash-to-point memo and transcript cache amortise.
+// chain. Callers re-verifying signatures they already admitted should hold
+// an Engine with a transcript cache (Engine.Seen), or call VerifyBatch to
+// spread a batch over workers.
 func Verify(sig *Signature, ring []Point, msg []byte) error {
 	return defaultEngine.Verify(sig, ring, msg)
 }
@@ -187,6 +188,41 @@ func challenge(msg []byte, l, r Point) *big.Int {
 	d := new(big.Int).SetBytes(h.Sum(nil))
 	return d.Mod(d, Curve.Params().N)
 }
+
+// hashToPoint maps a public key to a curve point with unknown discrete log
+// relative to G, via iterated hash-and-increment on the x-coordinate. The
+// square root runs through elliptic.UnmarshalCompressed, which on
+// assembly-backed platforms is several times cheaper than a big.Int
+// ModSqrt; the even-y prefix makes it also pick the canonical root (see
+// stockHashToPoint for the reference computation the differential tests
+// compare against).
+func hashToPoint(p Point) Point {
+	seed := sha256.Sum256(append([]byte(hpDomain), p.Bytes()...))
+	x := new(big.Int).SetBytes(seed[:])
+	x.Mod(x, curveP)
+	one := big.NewInt(1)
+	var buf [33]byte
+	buf[0] = 2 // request the even root: the canonical choice
+	for i := 0; i < 1000; i++ {
+		x.FillBytes(buf[1:])
+		if px, py := elliptic.UnmarshalCompressed(Curve, buf[:]); px != nil {
+			return Point{X: px, Y: py}
+		}
+		x.Add(x, one)
+		if x.Cmp(curveP) >= 0 {
+			x.Sub(x, curveP)
+		}
+	}
+	// Unreachable in practice: each x has ~1/2 chance of being on curve.
+	panic("ringsig: hash-to-point failed after 1000 attempts")
+}
+
+// hpDomain tags the hash-to-point transcript. v2: the root choice became
+// canonical (always the even y), enabling the compressed-point fast path;
+// v1 kept whichever root ModSqrt produced. Nothing persists v1 signatures —
+// the scheme's keys, images and signatures all live within one process
+// generation — so the tag bump only marks the break explicitly.
+const hpDomain = "tokenmagic/hp/v2"
 
 // hashWrite absorbs parts into h. hash.Hash documents that Write never
 // returns an error, so a failure can only mean a broken implementation —

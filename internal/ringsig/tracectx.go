@@ -24,15 +24,9 @@ func SignCtx(ctx context.Context, rng io.Reader, sk *PrivateKey, ring []Point, s
 	return sig, err
 }
 
-// VerifyCtx is Verify recorded as a "verify-sig" span of the trace in ctx.
-// The span name is distinct from the framework's Step-3 "verify" stage so
-// the two checks stay separable in the per-stage aggregates.
-func VerifyCtx(ctx context.Context, sig *Signature, ring []Point, msg []byte) error {
-	return defaultEngine.VerifyCtx(ctx, sig, ring, msg)
-}
-
 // VerifyCtx is Engine.Verify recorded as a "verify-sig" span of the trace
-// in ctx.
+// in ctx. The span name is distinct from the framework's Step-3 "verify"
+// stage so the two checks stay separable in the per-stage aggregates.
 func (e *Engine) VerifyCtx(ctx context.Context, sig *Signature, ring []Point, msg []byte) error {
 	sp := trace.StartChild(ctx, "verify-sig")
 	defer sp.End()
