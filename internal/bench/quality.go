@@ -61,7 +61,7 @@ func Quality(instances int, seed int64) ([]QualityPoint, error) {
 		if err != nil {
 			continue
 		}
-		if len(prob.Candidates) > maxModules {
+		if len(prob.Candidates()) > maxModules {
 			continue
 		}
 		opt, err := selector.ExactModular(prob, maxModules)

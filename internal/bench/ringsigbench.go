@@ -18,6 +18,12 @@ package bench
 //     miner re-validates at block time what it already verified at submit
 //     time. This is the headline arm at ring 16 × batch 64.
 //
+// The arms compared with each other (one ring size's single-signature arms;
+// one ring × batch point's batch arms) are timed in alternating rounds, each
+// arm once per round, and each arm reports its median round, so drift on a
+// shared host lands on every arm alike instead of on whichever arm ran
+// during it.
+//
 // Worker speedups are bounded by min(workers, num_cpu); a 1-core container
 // legitimately reports ≈1× at every worker count (CI regenerates the
 // artefact on multi-core runners, same as BENCH_parallel.json).
@@ -29,6 +35,7 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"sort"
 	"testing"
 
 	"tokenmagic/internal/ringsig"
@@ -186,12 +193,38 @@ func checkRingsigEquivalence() error {
 	return nil
 }
 
-// measureBatch times fn (which must process the whole batch) and converts
-// to per-batch and per-signature rates.
-func measureBatch(batch int, fn func(b *testing.B)) (nsPerOp, sigsPerSec float64) {
-	r := testing.Benchmark(fn)
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	return ns, float64(batch) / (ns / 1e9)
+// ringsigRounds is how many alternating rounds time each group of arms.
+const ringsigRounds = 5
+
+// benchArm is one timed arm; fn processes one batch per op. workers is
+// reported for batch arms only.
+type benchArm struct {
+	name    string
+	workers int
+	fn      func(b *testing.B)
+}
+
+// timeArms times the arms in ringsigRounds alternating rounds, every arm
+// once per round in order, and returns each arm's median ns/op.
+func timeArms(arms []benchArm) []float64 {
+	samples := make([][]float64, len(arms))
+	for r := 0; r < ringsigRounds; r++ {
+		for i, arm := range arms {
+			res := testing.Benchmark(arm.fn)
+			samples[i] = append(samples[i], float64(res.T.Nanoseconds())/float64(res.N))
+		}
+	}
+	med := make([]float64, len(arms))
+	for i, s := range samples {
+		sort.Float64s(s)
+		med[i] = s[len(s)/2]
+	}
+	return med
+}
+
+// sigsPerSec converts a per-batch time to a signature rate.
+func sigsPerSec(batch int, nsPerOp float64) float64 {
+	return float64(batch) / (nsPerOp / 1e9)
 }
 
 // RingsigBenchmarks runs the equivalence check and the full sweep, and
@@ -229,11 +262,8 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 				signerIdx = i
 			}
 		}
-		arms := []struct {
-			name string
-			fn   func(b *testing.B)
-		}{
-			{"stock_sign", func(b *testing.B) {
+		arms := []benchArm{
+			{"stock_sign", 0, func(b *testing.B) {
 				rng := newBenchRand("sign")
 				for i := 0; i < b.N; i++ {
 					if _, err := ringsig.StockSign(rng, sk, ring, signerIdx, req.Msg); err != nil {
@@ -241,7 +271,7 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 					}
 				}
 			}},
-			{"kernel_sign", func(b *testing.B) {
+			{"kernel_sign", 0, func(b *testing.B) {
 				rng := newBenchRand("sign")
 				for i := 0; i < b.N; i++ {
 					if _, err := ringsig.Sign(rng, sk, ring, signerIdx, req.Msg); err != nil {
@@ -249,14 +279,14 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 					}
 				}
 			}},
-			{"stock_verify", func(b *testing.B) {
+			{"stock_verify", 0, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if err := ringsig.StockVerify(req.Sig, req.Ring, req.Msg); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}},
-			{"kernel_verify", func(b *testing.B) {
+			{"kernel_verify", 0, func(b *testing.B) {
 				var eng ringsig.Engine
 				for i := 0; i < b.N; i++ {
 					if err := eng.Verify(req.Sig, req.Ring, req.Msg); err != nil {
@@ -266,10 +296,9 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 			}},
 		}
 		var stockSignNs, stockVerifyNs float64
-		for _, arm := range arms {
-			ns, sps := measureBatch(1, arm.fn)
-			pt := RingsigBenchPoint{Arm: arm.name, Ring: ringSize, NsPerOp: ns, SigsPerSec: sps}
-			switch arm.name {
+		for i, ns := range timeArms(arms) {
+			pt := RingsigBenchPoint{Arm: arms[i].name, Ring: ringSize, NsPerOp: ns, SigsPerSec: sigsPerSec(1, ns)}
+			switch arms[i].name {
 			case "stock_sign":
 				stockSignNs = ns
 			case "kernel_sign":
@@ -290,7 +319,7 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			stockNs, stockSps := measureBatch(batch, func(b *testing.B) {
+			arms := []benchArm{{"stock_per_sig", 1, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, req := range w.reqs {
 						if err := ringsig.StockVerify(req.Sig, req.Ring, req.Msg); err != nil {
@@ -298,13 +327,9 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 						}
 					}
 				}
-			})
-			rep.BatchArms = append(rep.BatchArms, RingsigBenchPoint{
-				Arm: "stock_per_sig", Ring: ringSize, Batch: batch, Workers: 1,
-				NsPerOp: stockNs, SigsPerSec: stockSps,
-			})
+			}}}
 			for _, workers := range ringsigBenchWorkers {
-				ns, sps := measureBatch(batch, func(b *testing.B) {
+				arms = append(arms, benchArm{"kernel_batch", workers, func(b *testing.B) {
 					eng := ringsig.Engine{Workers: workers}
 					for i := 0; i < b.N; i++ {
 						res := eng.VerifyBatch(context.Background(), w.reqs)
@@ -312,15 +337,11 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 							b.Fatal("batch rejected")
 						}
 					}
-				})
-				rep.BatchArms = append(rep.BatchArms, RingsigBenchPoint{
-					Arm: "kernel_batch", Ring: ringSize, Batch: batch, Workers: workers,
-					NsPerOp: ns, SigsPerSec: sps, SpeedupVsStock: stockNs / ns,
-				})
+				}})
 			}
 			// Block validation: every signature was verified at admission, so
 			// the transcript cache settles the re-verify with one hash each.
-			ns, sps := measureBatch(batch, func(b *testing.B) {
+			arms = append(arms, benchArm{"cached_block_validation", 1, func(b *testing.B) {
 				eng := ringsig.Engine{Seen: ringsig.NewSigCache(4 * batch), Workers: 1}
 				if res := eng.VerifyBatch(context.Background(), w.reqs); !res.OK() {
 					b.Fatal("warmup batch rejected")
@@ -332,11 +353,19 @@ func RingsigBenchmarks() (*RingsigBenchReport, error) {
 						b.Fatal("batch rejected")
 					}
 				}
-			})
-			rep.BatchArms = append(rep.BatchArms, RingsigBenchPoint{
-				Arm: "cached_block_validation", Ring: ringSize, Batch: batch, Workers: 1,
-				NsPerOp: ns, SigsPerSec: sps, SpeedupVsStock: stockNs / ns,
-			})
+			}})
+			ns := timeArms(arms)
+			stockNs := ns[0]
+			for i, arm := range arms {
+				pt := RingsigBenchPoint{
+					Arm: arm.name, Ring: ringSize, Batch: batch, Workers: arm.workers,
+					NsPerOp: ns[i], SigsPerSec: sigsPerSec(batch, ns[i]),
+				}
+				if i > 0 {
+					pt.SpeedupVsStock = stockNs / ns[i]
+				}
+				rep.BatchArms = append(rep.BatchArms, pt)
+			}
 		}
 	}
 	return rep, nil

@@ -101,7 +101,7 @@ func BenchSlackReference(b *testing.B) {
 		base[env.is.origin(t)]++
 		total++
 	}
-	mod := env.p.Candidates[0]
+	mod := env.p.Candidates()[0]
 	req := env.req
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -136,7 +136,7 @@ func BenchSlackIncremental(b *testing.B) {
 		b.Fatal(err)
 	}
 	hist := diversity.HistogramOf(env.p.Mandatory.Tokens, env.is.origin)
-	mod := env.p.Candidates[0]
+	mod := env.p.Candidates()[0]
 	hts := make([]chain.TxID, len(mod.Tokens))
 	for i, t := range mod.Tokens {
 		hts[i] = env.is.origin(t)

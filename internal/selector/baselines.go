@@ -31,11 +31,11 @@ func SmallestCtx(ctx context.Context, p *Problem) (res Result, err error) {
 		}
 		st.iters++
 		best := -1
-		for i, m := range p.Candidates {
+		for i, m := range st.mods {
 			if st.selected[i] {
 				continue
 			}
-			if best == -1 || m.Size() < p.Candidates[best].Size() {
+			if best == -1 || m.Size() < st.mods[best].Size() {
 				best = i
 			}
 		}
@@ -66,10 +66,7 @@ func RandomCtx(ctx context.Context, p *Problem, rng *rand.Rand) (res Result, err
 		sp.End()
 	}()
 	st := newState(p)
-	var unselected []int
-	for i := range p.Candidates {
-		unselected = append(unselected, i)
-	}
+	unselected := p.others()
 	for !st.hist.Satisfies(p.Req) {
 		if cancelled(ctx) {
 			return Result{}, ctxErr(ctx)

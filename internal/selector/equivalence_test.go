@@ -71,6 +71,7 @@ func (h *refHist) satisfies(req diversity.Requirement) bool { return h.slack(req
 // and per-token Origin calls.
 type refState struct {
 	p        *Problem
+	cands    []Module
 	tokens   chain.TokenSet
 	hist     *refHist
 	selected []bool
@@ -79,11 +80,13 @@ type refState struct {
 }
 
 func newRefState(p *Problem) *refState {
+	cands := p.Candidates()
 	st := &refState{
 		p:        p,
+		cands:    cands,
 		tokens:   p.Mandatory.Tokens.Clone(),
 		hist:     newRefHist(),
-		selected: make([]bool, len(p.Candidates)),
+		selected: make([]bool, len(cands)),
 		modules:  1,
 	}
 	for _, t := range p.Mandatory.Tokens {
@@ -95,19 +98,19 @@ func newRefState(p *Problem) *refState {
 func (st *refState) add(i int) {
 	st.selected[i] = true
 	st.modules++
-	for _, t := range st.p.Candidates[i].Tokens {
+	for _, t := range st.cands[i].Tokens {
 		st.hist.add(st.p.Origin(t))
 	}
-	st.tokens = st.tokens.Union(st.p.Candidates[i].Tokens)
+	st.tokens = st.tokens.Union(st.cands[i].Tokens)
 }
 
 func (st *refState) remove(i int) {
 	st.selected[i] = false
 	st.modules--
-	for _, t := range st.p.Candidates[i].Tokens {
+	for _, t := range st.cands[i].Tokens {
 		st.hist.remove(st.p.Origin(t))
 	}
-	st.tokens = st.tokens.Minus(st.p.Candidates[i].Tokens)
+	st.tokens = st.tokens.Minus(st.cands[i].Tokens)
 }
 
 func (st *refState) result() Result {
@@ -129,7 +132,7 @@ func (st *refState) newHTs(m Module) int {
 
 func (st *refState) slackWith(i int) float64 {
 	h := st.hist.clone()
-	for _, t := range st.p.Candidates[i].Tokens {
+	for _, t := range st.cands[i].Tokens {
 		h.add(st.p.Origin(t))
 	}
 	return h.slack(st.p.Req)
@@ -141,7 +144,7 @@ func (st *refState) coverHTPhase() error {
 		need := st.p.Req.L - st.hist.classes()
 		best := -1
 		bestAlpha := math.Inf(1)
-		for i, m := range st.p.Candidates {
+		for i, m := range st.cands {
 			if st.selected[i] {
 				continue
 			}
@@ -179,7 +182,7 @@ func refProgressive(p *Problem) (Result, error) {
 		delta := st.hist.slack(p.Req)
 		best := -1
 		bestBeta := math.Inf(-1)
-		for i, m := range p.Candidates {
+		for i, m := range st.cands {
 			if st.selected[i] {
 				continue
 			}
@@ -203,7 +206,7 @@ func refGame(p *Problem) (Result, error) {
 			return Result{}, err
 		}
 	}
-	nPlayers := len(p.Candidates)
+	nPlayers := len(st.cands)
 	if nPlayers == 0 {
 		if st.hist.satisfies(p.Req) {
 			return st.result(), nil
@@ -220,7 +223,7 @@ func refGame(p *Problem) (Result, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sortBySizeAsc(order, p.Candidates)
+	sortBySizeAsc(order, st.cands)
 	maxSweeps := 4*nPlayers + 16
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		st.iters++
@@ -259,11 +262,11 @@ func refSmallest(p *Problem) (Result, error) {
 	for !st.hist.satisfies(p.Req) {
 		st.iters++
 		best := -1
-		for i, m := range p.Candidates {
+		for i, m := range st.cands {
 			if st.selected[i] {
 				continue
 			}
-			if best == -1 || m.Size() < p.Candidates[best].Size() {
+			if best == -1 || m.Size() < st.cands[best].Size() {
 				best = i
 			}
 		}
@@ -278,7 +281,7 @@ func refSmallest(p *Problem) (Result, error) {
 func refRandom(p *Problem, rng *rand.Rand) (Result, error) {
 	st := newRefState(p)
 	var unselected []int
-	for i := range p.Candidates {
+	for i := range st.cands {
 		unselected = append(unselected, i)
 	}
 	for !st.hist.satisfies(p.Req) {

@@ -22,7 +22,8 @@ func ExactModular(p *Problem, maxModules int) (Result, error) {
 	if maxModules <= 0 {
 		maxModules = 20
 	}
-	n := len(p.Candidates)
+	cands := p.Candidates()
+	n := len(cands)
 	if n > maxModules {
 		return Result{}, ErrModularTooLarge
 	}
@@ -36,7 +37,7 @@ func ExactModular(p *Problem, maxModules int) (Result, error) {
 		modules := 1
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
-				tokens = tokens.Union(p.Candidates[i].Tokens)
+				tokens = tokens.Union(cands[i].Tokens)
 				modules++
 			}
 		}

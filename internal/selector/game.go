@@ -47,7 +47,8 @@ func GameCtx(ctx context.Context, p *Problem) (res Result, err error) {
 		}
 	}
 
-	nPlayers := len(p.Candidates)
+	order := p.others()
+	nPlayers := len(order)
 	if nPlayers == 0 {
 		if st.hist.Satisfies(p.Req) {
 			return st.result(), nil
@@ -73,11 +74,7 @@ func GameCtx(ctx context.Context, p *Problem) (res Result, err error) {
 	// reached with cheap additions and the large modules never need to
 	// join. This consistently reaches smaller equilibria than index order;
 	// the equilibrium set and the convergence guarantee are unaffected.
-	order := make([]int, nPlayers)
-	for i := range order {
-		order[i] = i
-	}
-	sortBySizeAsc(order, p.Candidates)
+	sortBySizeAsc(order, st.mods)
 	maxSweeps := 4*nPlayers + 16
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		if cancelled(ctx) {

@@ -43,7 +43,7 @@ func ProgressiveCtx(ctx context.Context, p *Problem) (res Result, err error) {
 		delta := st.hist.Slack(p.Req)
 		best := -1
 		bestBeta := math.Inf(-1)
-		for i, m := range p.Candidates {
+		for i, m := range st.mods {
 			if st.selected[i] {
 				continue
 			}

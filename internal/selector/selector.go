@@ -15,11 +15,13 @@
 // requirement (c, ℓ+1) so that every DTRS retains (c, ℓ) (Theorem 6.4) and
 // existing rings keep their declared diversity (immutability for free).
 //
-// The greedy hot loops are allocation-free: each module's HT footprint
-// (distinct HTs plus multiplicities) is computed once per Problem, slack
-// probes are delta evaluations against the incremental diversity index
-// (diversity.Histogram), and the running selection tracks only a token
-// count — the result TokenSet is materialised once, at the end.
+// The greedy hot loops are allocation-free: the module list of a
+// decomposition, with each module's HT footprint (distinct HTs plus
+// multiplicities), is built once (Modules) and shared read-only by the
+// Problem of every consuming token over it, slack probes are delta
+// evaluations against the incremental diversity index (diversity.Histogram),
+// and the running selection tracks only a token count — the result TokenSet
+// is materialised once, at the end.
 package selector
 
 import (
@@ -62,31 +64,11 @@ type Module struct {
 func (m Module) Size() int { return len(m.Tokens) }
 
 // footprint is a module's HT profile: the distinct HTs its tokens map to and
-// how many tokens map to each. Precomputed once per Problem so the greedy
-// loops never call Origin or build scratch maps.
+// how many tokens map to each. Computed once per module list (Modules), so
+// the greedy loops never call Origin or build scratch maps.
 type footprint struct {
 	txs []chain.TxID
 	ns  []int
-}
-
-func footprintOf(m Module, origin func(chain.TokenID) chain.TxID) footprint {
-	var fp footprint
-	for _, t := range m.Tokens {
-		h := origin(t)
-		found := false
-		for j, x := range fp.txs {
-			if x == h {
-				fp.ns[j]++
-				found = true
-				break
-			}
-		}
-		if !found {
-			fp.txs = append(fp.txs, h)
-			fp.ns = append(fp.ns, 1)
-		}
-	}
-	return fp
 }
 
 // Super is a super ring signature (Definition 7) with its subset count v.
@@ -155,17 +137,114 @@ func Decompose(rings []chain.RingRecord, universe chain.TokenSet) (supers []Supe
 	return supers, fresh
 }
 
+// Modules is the module list of one decomposition (Definitions 7–8): every
+// super ring in decomposition order, then every fresh token, each with its
+// HT footprint, plus the module holding each token. It is built once and
+// never written again, so the Problems of every consuming token over one
+// decomposition share it, from any number of goroutines.
+type Modules struct {
+	list   []Module
+	fps    []footprint // fps[i] is list[i]'s HT footprint
+	holder map[chain.TokenID]int
+	origin func(chain.TokenID) chain.TxID
+}
+
+// holderConflict marks a token that more than one module holds, which the
+// first practical configuration forbids.
+const holderConflict = -1
+
+// NewModules builds the module list of a decomposition (see Decompose). A
+// fresh module's token set aliases fresh's backing array, so fresh must not
+// be mutated afterwards.
+//
+//tmlint:readonly supers fresh
+func NewModules(supers []Super, fresh chain.TokenSet, origin func(chain.TokenID) chain.TxID) *Modules {
+	n := len(supers) + len(fresh)
+	tokens := len(fresh)
+	for _, s := range supers {
+		tokens += len(s.Ring.Tokens)
+	}
+	ms := &Modules{
+		list:   make([]Module, 0, n),
+		fps:    make([]footprint, 0, n),
+		holder: make(map[chain.TokenID]int, tokens),
+		origin: origin,
+	}
+	// Every footprint is a window of one pair of backing arrays: a module
+	// has at most one distinct HT per token.
+	txs := make([]chain.TxID, 0, tokens)
+	ns := make([]int, 0, tokens)
+	add := func(m Module) {
+		i := len(ms.list)
+		ms.list = append(ms.list, m)
+		start := len(txs)
+		for _, t := range m.Tokens {
+			if _, dup := ms.holder[t]; dup {
+				ms.holder[t] = holderConflict
+			} else {
+				ms.holder[t] = i
+			}
+			h := origin(t)
+			j := start
+			for j < len(txs) && txs[j] != h {
+				j++
+			}
+			if j < len(txs) {
+				ns[j]++
+			} else {
+				txs = append(txs, h)
+				ns = append(ns, 1)
+			}
+		}
+		end := len(txs)
+		ms.fps = append(ms.fps, footprint{txs: txs[start:end:end], ns: ns[start:end:end]})
+	}
+	for _, s := range supers {
+		add(Module{Tokens: s.Ring.Tokens, Super: s.Ring.ID})
+	}
+	for i := range fresh {
+		add(Module{Tokens: fresh[i : i+1 : i+1], Fresh: true})
+	}
+	return ms
+}
+
+// Problem returns the DA-MS instance for consuming target over these
+// modules: the module holding target is mandatory and every other module is
+// a candidate. The Problem shares the list and records only the mandatory
+// module's index. It returns an error if target is in no module or in more
+// than one.
+func (ms *Modules) Problem(target chain.TokenID, req diversity.Requirement) (*Problem, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	i, ok := ms.holder[target]
+	if !ok {
+		return nil, fmt.Errorf("selector: target %v not in universe", target)
+	}
+	if i == holderConflict {
+		supers := 0
+		for _, m := range ms.list {
+			if !m.Fresh && m.Tokens.Contains(target) {
+				supers++
+			}
+		}
+		if supers > 1 {
+			return nil, fmt.Errorf("selector: target %v in multiple super rings (configuration violated)", target)
+		}
+		return nil, fmt.Errorf("selector: target %v is both fresh and in a super ring", target)
+	}
+	return &Problem{Target: target, Mandatory: ms.list[i], Origin: ms.origin, Req: req, mods: ms, mand: i}, nil
+}
+
 // Problem is one modular DA-MS instance: choose a minimum-cardinality union
 // of modules containing the mandatory module such that the union's HT
-// multiset satisfies Req.
+// multiset satisfies Req. Build it with NewProblem or Modules.Problem.
 type Problem struct {
 	// Target is the token being consumed.
 	Target chain.TokenID
 	// Mandatory is the module containing Target (its super ring, or the
 	// token itself when fresh). It is always part of the result.
 	Mandatory Module
-	// Candidates are the other selectable modules.
-	Candidates []Module
 	// Origin maps tokens to historical transactions.
 	Origin func(chain.TokenID) chain.TxID
 	// Req is the effective diversity requirement the result's HT multiset
@@ -173,65 +252,44 @@ type Problem struct {
 	// the user requirement tightened via Requirement.WithHeadroom.
 	Req diversity.Requirement
 
-	// Precomputed HT footprints (mandatory module, then one per candidate),
-	// filled by NewProblem or lazily on first solve.
-	mandFP   footprint
-	candFP   []footprint
-	prepared bool
+	// mods is the shared module list, with precomputed HT footprints;
+	// mods.list[mand] is Mandatory. The solvers start with mand selected,
+	// so every other module is a candidate, in list order.
+	mods *Modules
+	mand int
 }
 
-// prepare computes the per-module HT footprints once. NewProblem calls it
-// eagerly; Problems assembled by hand get it on first solve.
-func (p *Problem) prepare() {
-	if p.prepared {
-		return
+// Candidates returns the selectable modules other than the mandatory one,
+// in module order. It copies; the solvers read the shared list in place.
+func (p *Problem) Candidates() []Module {
+	if p.mods == nil {
+		return nil
 	}
-	p.mandFP = footprintOf(p.Mandatory, p.Origin)
-	p.candFP = make([]footprint, len(p.Candidates))
-	for i := range p.Candidates {
-		p.candFP[i] = footprintOf(p.Candidates[i], p.Origin)
-	}
-	p.prepared = true
+	out := make([]Module, 0, len(p.mods.list)-1)
+	out = append(out, p.mods.list[:p.mand]...)
+	return append(out, p.mods.list[p.mand+1:]...)
 }
 
-// NewProblem assembles a Problem from a decomposition. It locates the module
-// containing target among supers/fresh and returns an error if the target is
-// not in the universe described by the decomposition.
+// others returns the indices of every module but the mandatory one, in
+// module order: the candidate order the solvers sweep and draw from.
+func (p *Problem) others() []int {
+	out := make([]int, 0, len(p.mods.list)-1)
+	for i := range p.mods.list {
+		if i != p.mand {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// NewProblem assembles a Problem from a decomposition: it builds the
+// decomposition's module list and picks target's module from it. Callers
+// solving for many targets over one decomposition build the list once with
+// NewModules and call Modules.Problem per target instead.
+//
+//tmlint:readonly supers fresh
 func NewProblem(target chain.TokenID, supers []Super, fresh chain.TokenSet, origin func(chain.TokenID) chain.TxID, req diversity.Requirement) (*Problem, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	p := &Problem{Target: target, Origin: origin, Req: req}
-	found := false
-	for _, s := range supers {
-		m := Module{Tokens: s.Ring.Tokens, Super: s.Ring.ID}
-		if s.Ring.Tokens.Contains(target) {
-			if found {
-				return nil, fmt.Errorf("selector: target %v in multiple super rings (configuration violated)", target)
-			}
-			p.Mandatory = m
-			found = true
-			continue
-		}
-		p.Candidates = append(p.Candidates, m)
-	}
-	for _, t := range fresh {
-		m := Module{Tokens: chain.NewTokenSet(t), Fresh: true}
-		if t == target {
-			if found {
-				return nil, fmt.Errorf("selector: target %v is both fresh and in a super ring", target)
-			}
-			p.Mandatory = m
-			found = true
-			continue
-		}
-		p.Candidates = append(p.Candidates, m)
-	}
-	if !found {
-		return nil, fmt.Errorf("selector: target %v not in universe", target)
-	}
-	p.prepare()
-	return p, nil
+	return NewModules(supers, fresh, origin).Problem(target, req)
 }
 
 // Result is a solved DA-MS instance.
@@ -262,51 +320,49 @@ var ErrNoEligible = errors.New("selector: no eligible ring signature exists; rel
 // TokenSet only needs materialising once, in result().
 type state struct {
 	p        *Problem
+	mods     []Module
+	fps      []footprint
 	hist     *diversity.Histogram
-	selected []bool // over p.Candidates
+	selected []bool // over p.mods.list; the mandatory module starts selected
 	modules  int
 	nTokens  int // |union of selected modules|
 	iters    int
 }
 
 func newState(p *Problem) *state {
-	p.prepare()
 	st := &state{
 		p:        p,
+		mods:     p.mods.list,
+		fps:      p.mods.fps,
 		hist:     diversity.NewHistogram(),
-		selected: make([]bool, len(p.Candidates)),
-		modules:  1,
-		nTokens:  len(p.Mandatory.Tokens),
+		selected: make([]bool, len(p.mods.list)),
 	}
-	fp := &p.mandFP
-	for j, tx := range fp.txs {
-		st.hist.AddN(tx, fp.ns[j])
-	}
+	st.add(p.mand)
 	return st
 }
 
-// add selects candidate i.
+// add selects module i.
 //
 //tmlint:hotpath
 func (st *state) add(i int) {
 	st.selected[i] = true
 	st.modules++
-	st.nTokens += st.p.Candidates[i].Size()
-	fp := &st.p.candFP[i]
+	st.nTokens += st.mods[i].Size()
+	fp := &st.fps[i]
 	for j, tx := range fp.txs {
 		st.hist.AddN(tx, fp.ns[j])
 	}
 }
 
-// remove deselects candidate i. Only valid when modules do not overlap
+// remove deselects module i. Only valid when modules do not overlap
 // (guaranteed under the first practical configuration).
 //
 //tmlint:hotpath
 func (st *state) remove(i int) {
 	st.selected[i] = false
 	st.modules--
-	st.nTokens -= st.p.Candidates[i].Size()
-	fp := &st.p.candFP[i]
+	st.nTokens -= st.mods[i].Size()
+	fp := &st.fps[i]
 	for j, tx := range fp.txs {
 		st.hist.RemoveN(tx, fp.ns[j])
 	}
@@ -315,21 +371,20 @@ func (st *state) remove(i int) {
 // result materialises the selection as a TokenSet.
 func (st *state) result() Result {
 	ids := make([]chain.TokenID, 0, st.nTokens)
-	ids = append(ids, st.p.Mandatory.Tokens...)
 	for i, sel := range st.selected {
 		if sel {
-			ids = append(ids, st.p.Candidates[i].Tokens...)
+			ids = append(ids, st.mods[i].Tokens...)
 		}
 	}
 	return Result{Tokens: chain.NewTokenSet(ids...), Modules: st.modules, Iterations: st.iters}
 }
 
-// newHTs counts |H_i \ H|: distinct HTs candidate i would newly contribute.
+// newHTs counts |H_i \ H|: distinct HTs module i would newly contribute.
 //
 //tmlint:hotpath
 func (st *state) newHTs(i int) int {
 	n := 0
-	for _, tx := range st.p.candFP[i].txs {
+	for _, tx := range st.fps[i].txs {
 		if st.hist.Count(tx) == 0 {
 			n++
 		}
@@ -337,14 +392,14 @@ func (st *state) newHTs(i int) int {
 	return n
 }
 
-// slackWith returns δ_i: the requirement slack if candidate i were added.
+// slackWith returns δ_i: the requirement slack if module i were added.
 // It is a read-only delta probe against the incremental index: the module's
 // precomputed footprint is overlaid on the count-of-counts walk without
 // mutating the histogram — no cloning, no allocation, no undo step.
 //
 //tmlint:hotpath
 func (st *state) slackWith(i int) float64 {
-	fp := &st.p.candFP[i]
+	fp := &st.fps[i]
 	return st.hist.SlackIfAddedN(st.p.Req, fp.txs, fp.ns)
 }
 
@@ -361,7 +416,7 @@ func (st *state) coverHTPhase(ctx context.Context) error {
 		need := st.p.Req.L - st.hist.Classes()
 		best := -1
 		bestAlpha := math.Inf(1)
-		for i, m := range st.p.Candidates {
+		for i, m := range st.mods {
 			if st.selected[i] {
 				continue
 			}

@@ -132,7 +132,7 @@ func TestGamePaperExample3(t *testing.T) {
 	// (leaving always reduces |r|, so feasibility is the only barrier), and
 	// no unselected module can join and strictly reduce cost (joining grows
 	// |r|, so it never can). Verify the first half explicitly.
-	modules := append([]Module{p.Mandatory}, p.Candidates...)
+	modules := append([]Module{p.Mandatory}, p.Candidates()...)
 	for _, m := range modules[1:] {
 		if !m.Tokens.SubsetOf(res.Tokens) {
 			continue // not selected
@@ -187,8 +187,8 @@ func TestMandatoryFreshTarget(t *testing.T) {
 	if !p.Mandatory.Fresh || !p.Mandatory.Tokens.Equal(chain.NewTokenSet(1)) {
 		t.Fatalf("Mandatory = %+v", p.Mandatory)
 	}
-	if len(p.Candidates) != 2 {
-		t.Fatalf("Candidates = %+v", p.Candidates)
+	if len(p.Candidates()) != 2 {
+		t.Fatalf("Candidates = %+v", p.Candidates())
 	}
 	res, err := Progressive(p)
 	if err != nil {

@@ -13,13 +13,14 @@ import (
 // the mandatory module — the OPT of Theorems 6.5/6.7 (which are stated over
 // the modular solution space).
 func modularOptimum(p *Problem) (int, bool) {
-	n := len(p.Candidates)
+	cands := p.Candidates()
+	n := len(cands)
 	best := -1
 	for mask := 0; mask < 1<<n; mask++ {
 		tokens := p.Mandatory.Tokens
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
-				tokens = tokens.Union(p.Candidates[i].Tokens)
+				tokens = tokens.Union(cands[i].Tokens)
 			}
 		}
 		if !diversity.SatisfiesTokens(tokens, p.Origin, p.Req) {
@@ -101,7 +102,7 @@ func TestProgressiveApproximationBound(t *testing.T) {
 		hist := diversity.HistogramOf(unionAll(p), p.Origin)
 		qM := float64(hist.MaxCount())
 		zM := 0.0
-		for _, m := range append([]Module{p.Mandatory}, p.Candidates...) {
+		for _, m := range append([]Module{p.Mandatory}, p.Candidates()...) {
 			if !m.Fresh && float64(m.Size()) > zM {
 				zM = float64(m.Size())
 			}
@@ -146,7 +147,7 @@ func TestGamePoABound(t *testing.T) {
 		hist := diversity.HistogramOf(unionAll(p), p.Origin)
 		qM := float64(hist.MaxCount())
 		zM := 0.0
-		for _, m := range append([]Module{p.Mandatory}, p.Candidates...) {
+		for _, m := range append([]Module{p.Mandatory}, p.Candidates()...) {
 			if !m.Fresh && float64(m.Size()) > zM {
 				zM = float64(m.Size())
 			}
@@ -183,7 +184,7 @@ func TestGameConvergesWithinSweepCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cap := 4*len(p.Candidates) + 16
+		cap := 4*len(p.Candidates()) + 16
 		if res.Iterations > cap {
 			t.Fatalf("sweeps %d exceeded cap %d", res.Iterations, cap)
 		}
@@ -192,7 +193,7 @@ func TestGameConvergesWithinSweepCap(t *testing.T) {
 
 func unionAll(p *Problem) chain.TokenSet {
 	u := p.Mandatory.Tokens
-	for _, m := range p.Candidates {
+	for _, m := range p.Candidates() {
 		u = u.Union(m.Tokens)
 	}
 	return u

@@ -154,15 +154,18 @@ type fwEpoch struct {
 	state []*batchState
 }
 
-// batchState is one batch's ring list and module decomposition, filled once
-// on first use. Every epoch sharing the entry has the same rings over the
-// batch, so whichever epoch fills it computes the same value.
+// batchState is one batch's ring list, filled once on first use, and its
+// module list (super rings and fresh tokens with their HT footprints),
+// filled once on first selection: the Step-3 checks read only the rings,
+// so verifying and committing never pay for the modules. Every epoch
+// sharing the entry has the same rings over the batch, so whichever epoch
+// fills either field computes the same value.
 type batchState struct {
-	tokens chain.TokenSet // the batch's tokens: its members' mixin universe
-	once   sync.Once
-	rings  []chain.RingRecord // rings intersecting the batch, in proposal order
-	supers []selector.Super
-	fresh  chain.TokenSet
+	tokens   chain.TokenSet // the batch's tokens: its members' mixin universe
+	once     sync.Once
+	rings    []chain.RingRecord // rings intersecting the batch, in proposal order
+	modsOnce sync.Once
+	mods     *selector.Modules
 }
 
 // newBatchStates returns one unfilled entry per batch.
@@ -467,7 +470,7 @@ func (f *Framework) problemFor(e *fwEpoch, target chain.TokenID, req diversity.R
 		return nil, nil, err
 	}
 	s := f.batchState(e, b.Index)
-	p, err := selector.NewProblem(target, s.supers, s.fresh, e.origin, f.effectiveReq(req))
+	p, err := s.modules(e.origin).Problem(target, f.effectiveReq(req))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -482,7 +485,6 @@ func (f *Framework) batchState(e *fwEpoch, i int) *batchState {
 	filled := false
 	s.once.Do(func() {
 		s.rings = e.view.RingsOver(s.tokens)
-		s.supers, s.fresh = selector.Decompose(s.rings, s.tokens)
 		filled = true
 	})
 	if filled {
@@ -493,6 +495,16 @@ func (f *Framework) batchState(e *fwEpoch, i int) *batchState {
 		f.metrics.cacheHits.Inc()
 	}
 	return s
+}
+
+// modules returns the batch's module list, decomposing the batch and
+// building the list on first use. The state must be filled (batchState).
+func (s *batchState) modules(origin func(chain.TokenID) chain.TxID) *selector.Modules {
+	s.modsOnce.Do(func() {
+		supers, fresh := selector.Decompose(s.rings, s.tokens)
+		s.mods = selector.NewModules(supers, fresh, origin)
+	})
+	return s.mods
 }
 
 // solve dispatches to the configured solver, recording per-algorithm count
